@@ -33,6 +33,10 @@ class ConfigError(ValueError):
     pass
 
 
+# Above this many |E1| x |E2| cells the time matrix is built sparse.
+DENSE_TIME_MATRIX_CELLS = 8_000_000
+
+
 ABLATION_ALIASES = {
     "relation-fusion": "relation-fusion",
     "rff": "relation-fusion",
@@ -99,7 +103,7 @@ def run_alignment(
     kg1, kg2, vocab, seeds, refs = kg_io.load_dataset(layout)
     dic1 = build_time_dictionary(kg1)
     dic2 = build_time_dictionary(kg2)
-    big = kg1.entity_count * kg2.entity_count > 8_000_000
+    big = kg1.entity_count * kg2.entity_count > DENSE_TIME_MATRIX_CELLS
     time_matrix = build_time_similarity_matrix(dic1, dic2, sparse=big)
 
     unsupervised = len(seeds) == 0
@@ -261,7 +265,7 @@ def cmd_seeds(args) -> int:
     out = Path(args.output_dir or cfg.get("output_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     kg1, kg2, _, _, refs = kg_io.load_dataset(layout)
-    big = kg1.entity_count * kg2.entity_count > 8_000_000
+    big = kg1.entity_count * kg2.entity_count > DENSE_TIME_MATRIX_CELLS
     matrix = build_time_similarity_matrix(
         build_time_dictionary(kg1), build_time_dictionary(kg2), sparse=big
     )
@@ -270,7 +274,8 @@ def cmd_seeds(args) -> int:
     print(f"generated {len(seeds)} seed pairs")
     if len(refs):
         gold = refs.as_set()
-        checkable = [p for p in seeds.pairs if p[0] in set(refs.sources())]
+        sources = set(refs.sources())
+        checkable = [p for p in seeds.pairs if p[0] in sources]
         if checkable:
             precision = sum(p in gold for p in checkable) / len(checkable)
             print(f"precision vs references: {precision:.4f} over {len(checkable)} checkable pairs")
@@ -295,8 +300,6 @@ def cmd_eval(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tkgalign",
                                 description="Entity alignment across temporal knowledge graphs")
-    p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker, fixed-order reductions (the default; kept as an explicit switch)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_cfg(sp):

@@ -80,9 +80,12 @@ def read_pairs(path: Path, provenance: str = "gold") -> AlignmentPairSet:
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                a, b = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
+            if a < 0 or b < 0:
+                raise ParseError(f"{path}:{lineno}: negative entity id in pair ({a}, {b})")
+            pairs.append((a, b))
     return AlignmentPairSet.from_pairs(pairs, provenance=provenance)
 
 

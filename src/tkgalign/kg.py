@@ -132,6 +132,7 @@ class TemporalKG:
     entity_neighbors: list[set[int]]
     entity_relations: list[list[int]]
     _mean_operator: sp.csr_matrix | None = field(default=None, repr=False)
+    _mean_operator_t: sp.csr_matrix | None = field(default=None, repr=False)
     _relation_operator: sp.csr_matrix | None = field(default=None, repr=False)
 
     @classmethod
@@ -160,6 +161,13 @@ class TemporalKG:
             inv_deg = sp.diags(1.0 / self.degree.astype(np.float64))
             self._mean_operator = (inv_deg @ self.adjacency).tocsr()
         return self._mean_operator
+
+    @property
+    def mean_operator_t(self) -> sp.csr_matrix:
+        """Transpose of `mean_operator` in CSR form, for the backward pass."""
+        if self._mean_operator_t is None:
+            self._mean_operator_t = self.mean_operator.T.tocsr()
+        return self._mean_operator_t
 
     @property
     def relation_operator(self) -> sp.csr_matrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .encoder import (
     EmbeddingState,
@@ -65,26 +66,24 @@ def sample_negatives(
     kg_sizes: tuple[int, int],
     count: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """`count` corrupted pairs per positive pair, each replacing exactly one
     side with a uniformly random *different* entity from that side's graph.
-    Sides are chosen with equal probability."""
+    Sides are chosen with equal probability. Returns a (len(pairs)*count, 2)
+    int64 array whose rows p*count .. (p+1)*count-1 corrupt pair p."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n1, n2 = kg_sizes
-    out = []
-    for i, j in pairs.pairs:
-        for _ in range(count):
-            if rng.integers(2) == 0:
-                if n1 < 2:
-                    raise ValueError("cannot corrupt the source side of a 1-entity graph")
-                r = int(rng.integers(n1 - 1))
-                out.append((r + 1 if r >= i else r, j))
-            else:
-                if n2 < 2:
-                    raise ValueError("cannot corrupt the target side of a 1-entity graph")
-                r = int(rng.integers(n2 - 1))
-                out.append((i, r + 1 if r >= j else r))
+    out = np.repeat(np.asarray(pairs.pairs, dtype=np.int64).reshape(-1, 2), count, axis=0)
+    sides = rng.integers(2, size=len(out))
+    for side, n, name in ((0, kg_sizes[0], "source"), (1, kg_sizes[1], "target")):
+        rows = np.flatnonzero(sides == side)
+        if rows.size == 0:
+            continue
+        if n < 2:
+            raise ValueError(f"cannot corrupt the {name} side of a 1-entity graph")
+        # uniform over the n-1 ids other than the original: skip past it
+        r = rng.integers(n - 1, size=rows.size)
+        out[rows, side] = r + (r >= out[rows, side])
     return out
 
 
@@ -110,17 +109,17 @@ class TripletBatch:
     def build(
         cls,
         pairs: AlignmentPairSet,
-        negatives: list[tuple[int, int]],
+        negatives: np.ndarray,
         entity_offset: int,
     ) -> "TripletBatch":
+        negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
         k, rem = divmod(len(negatives), max(len(pairs), 1))
         if rem or not pairs.pairs:
             raise ValueError("negatives must be a whole multiple of pairs")
-        pi = np.repeat([p[0] for p in pairs.pairs], k)
-        pj = np.repeat([p[1] + entity_offset for p in pairs.pairs], k)
-        ni = np.array([n[0] for n in negatives], dtype=np.int64)
-        nj = np.array([n[1] + entity_offset for n in negatives], dtype=np.int64)
-        return cls(pi, pj, ni, nj)
+        pos = np.repeat(np.asarray(pairs.pairs, dtype=np.int64), k, axis=0)
+        return cls(
+            pos[:, 0], pos[:, 1] + entity_offset, negatives[:, 0], negatives[:, 1] + entity_offset
+        )
 
 
 def compute_gradients(
@@ -141,33 +140,40 @@ def compute_gradients(
     layers = forward_layers(state, union_kg, enc_config, dropout_mask)
     g = global_embedding(layers, enc_config.ablate_global_concat)
 
-    dp_vec = g[batch.pos_src] - g[batch.pos_tgt]
-    dn_vec = g[batch.neg_src] - g[batch.neg_tgt]
-    d_pos = np.abs(dp_vec).sum(axis=1)
-    d_neg = np.abs(dn_vec).sum(axis=1)
-    slack = d_pos - d_neg + train_config.margin
+    # score each distinct positive pair once (`inv` maps triplets to it),
+    # then every negative; row k of `pair_diff` is e(src_k) - e(tgt_k)
+    n = g.shape[0]
+    keys, inv = np.unique(batch.pos_src * n + batch.pos_tgt, return_inverse=True)
+    src = np.concatenate([keys // n, batch.neg_src])
+    tgt = np.concatenate([keys % n, batch.neg_tgt])
+    m = len(src)
+    pair_diff = sp.csr_matrix(
+        (np.tile([1.0, -1.0], m), np.column_stack([src, tgt]).ravel(), np.arange(0, 2 * m + 1, 2)),
+        shape=(m, n),
+    )
+    diff = pair_diff @ g
+    buf = np.abs(diff)  # reused for the signs below
+    dist = buf.sum(axis=1)
+    slack = dist[inv] - dist[len(keys) :] + train_config.margin
     active = slack > 0
     loss = float(slack[active].sum())
 
-    d_global = np.zeros_like(g)
-    if active.any():
-        sp_sign = np.sign(dp_vec[active])
-        sn_sign = np.sign(dn_vec[active])
-        np.add.at(d_global, batch.pos_src[active], sp_sign)
-        np.add.at(d_global, batch.pos_tgt[active], -sp_sign)
-        np.add.at(d_global, batch.neg_src[active], -sn_sign)
-        np.add.at(d_global, batch.neg_tgt[active], sn_sign)
+    # d_global = C @ sign(diff) with the signed incidence C = pair_diff^T W.
+    # W weighs a positive pair by its number of active hinges and an active
+    # negative by -1; inactive rows get 0 and drop out of C. All terms are
+    # small integers, so the sums are exact in any order.
+    weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
+    incidence = pair_diff.T @ sp.diags(weight.astype(np.float64))
+    d_global = incidence @ np.sign(diff, out=buf)
 
     # route the global gradient back to per-layer gradients
     width = layers[0].shape[1]
     if enc_config.ablate_global_concat:
         d_layers = [np.zeros_like(layers[0]) for _ in layers[:-1]] + [d_global]
     else:
-        d_layers = [
-            d_global[:, l * width : (l + 1) * width].copy() for l in range(len(layers))
-        ]
+        d_layers = [d_global[:, l * width : (l + 1) * width] for l in range(len(layers))]
 
-    op_t = union_kg.mean_operator.T.tocsr()
+    op_t = union_kg.mean_operator_t
     d_run = d_layers[-1]
     for l in range(len(layers) - 1, 0, -1):
         gated = d_run * (layers[l] > 0)

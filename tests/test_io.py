@@ -68,6 +68,16 @@ def test_non_integer_id_reports_location(tmp_path):
         load_dataset(DatasetLayout.from_dir(tmp_path))
 
 
+@pytest.mark.parametrize("name", ["sup_pairs", "ref_pairs"])
+@pytest.mark.parametrize("row", ["-1\t3", "3\t-2"])
+def test_negative_pair_id_reports_location(tmp_path, name, row):
+    (tmp_path / "triples_1").write_text("0\t0\t1\t5\t5\n")
+    (tmp_path / "triples_2").write_text("0\t0\t1\t5\t5\n")
+    (tmp_path / name).write_text(f"0\t0\n{row}\n")
+    with pytest.raises(ParseError, match=rf"{name}:2: negative"):
+        load_dataset(DatasetLayout.from_dir(tmp_path))
+
+
 def test_pair_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     pairs = list({(int(a), int(b)) for a, b in rng.integers(0, 1000, size=(100, 2))})

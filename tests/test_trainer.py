@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from tkgalign.encoder import EncoderConfig, init_embeddings, make_dropout_mask
+from tkgalign.encoder import (
+    EncoderConfig,
+    forward_layers,
+    global_embedding,
+    init_embeddings,
+    make_dropout_mask,
+)
 from tkgalign.kg import AlignmentPairSet, Quadruple, TemporalKG, TimeAnnotation, union_graph
 from tkgalign.trainer import (
     OptimizerState,
@@ -21,8 +28,9 @@ def P(t):
     return TimeAnnotation.point(t)
 
 
-def random_instance(seed, layers=2, dropout=False):
-    """Small random graph pair with a triplet batch, for gradient checks."""
+def random_instance(seed, layers=2, dropout=False, pairs=None):
+    """Small random graph pair with a triplet batch, for gradient checks.
+    `pairs` overrides the default seed pairs (i, i)."""
     rng = np.random.default_rng(seed)
     n1, n2 = (int(x) for x in rng.integers(4, 15, 2))
     m1, m2 = (int(x) for x in rng.integers(2, 5, 2))
@@ -45,7 +53,9 @@ def random_instance(seed, layers=2, dropout=False):
     )
     trn = TrainConfig(margin=1.0, dropout_rate=0.3 if dropout else 0.0, rng_seed=seed)
     state = init_embeddings(enc, n1 + n2, m1 + m2)
-    pairs = AlignmentPairSet.from_pairs([(i, i) for i in range(min(n1, n2, 4))])
+    if pairs is None:
+        pairs = [(i, i) for i in range(min(n1, n2, 4))]
+    pairs = AlignmentPairSet.from_pairs(pairs)
     rng2 = np.random.default_rng(seed + 1000)
     negs = sample_negatives(pairs, (n1, n2), 3, rng2)
     batch = TripletBatch.build(pairs, negs, n1)
@@ -54,6 +64,54 @@ def random_instance(seed, layers=2, dropout=False):
         make_dropout_mask(rng2, (ukg.entity_count, 2 * d), trn.dropout_rate) if dropout else None
     )
     return state, ukg, batch, enc, trn, mask
+
+
+def scatter_oracle_gradients(state, union_kg, batch, enc_config, train_config, dropout_mask=None):
+    """Reference gradients: every triplet row scored on its own and its sign
+    vectors scattered row by row with np.add.at."""
+    layers = forward_layers(state, union_kg, enc_config, dropout_mask)
+    g = global_embedding(layers, enc_config.ablate_global_concat)
+    dp_vec = g[batch.pos_src] - g[batch.pos_tgt]
+    dn_vec = g[batch.neg_src] - g[batch.neg_tgt]
+    slack = np.abs(dp_vec).sum(axis=1) - np.abs(dn_vec).sum(axis=1) + train_config.margin
+    active = slack > 0
+    loss = float(slack[active].sum())
+
+    d_global = np.zeros_like(g)
+    sp_sign = np.sign(dp_vec[active])
+    sn_sign = np.sign(dn_vec[active])
+    np.add.at(d_global, batch.pos_src[active], sp_sign)
+    np.add.at(d_global, batch.pos_tgt[active], -sp_sign)
+    np.add.at(d_global, batch.neg_src[active], -sn_sign)
+    np.add.at(d_global, batch.neg_tgt[active], sn_sign)
+
+    width = layers[0].shape[1]
+    if enc_config.ablate_global_concat:
+        d_layers = [np.zeros_like(layers[0]) for _ in layers[:-1]] + [d_global]
+    else:
+        d_layers = [d_global[:, l * width : (l + 1) * width].copy() for l in range(len(layers))]
+    op_t = union_kg.mean_operator.T.tocsr()
+    d_run = d_layers[-1]
+    for l in range(len(layers) - 1, 0, -1):
+        d_run = d_layers[l - 1] + op_t @ (d_run * (layers[l] > 0))
+    if dropout_mask is not None:
+        d_run = d_run * dropout_mask
+    d = state.dim
+    d_ent_half, d_rel_half = d_run[:, :d], d_run[:, d:]
+    if enc_config.ablate_relation_fusion:
+        d_ent_half = d_ent_half + d_rel_half
+        grad_rel = np.zeros_like(state.relation_table)
+    else:
+        grad_rel = union_kg.relation_operator.T @ d_rel_half
+    return loss, op_t @ d_ent_half, grad_rel
+
+
+def assert_matches_scatter_oracle(state, ukg, batch, enc, trn, mask):
+    loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask)
+    ref_loss, ref_ge, ref_gr = scatter_oracle_gradients(state, ukg, batch, enc, trn, mask)
+    assert loss == ref_loss
+    assert np.array_equal(ge, ref_ge)
+    assert np.array_equal(gr, ref_gr)
 
 
 def finite_difference(state, ukg, batch, enc, trn, mask, table, h=1e-4):
@@ -102,7 +160,42 @@ class TestNegativeSampling:
         pairs = AlignmentPairSet.from_pairs([(0, 0), (1, 1)])
         a = sample_negatives(pairs, (5, 6), 4, np.random.default_rng(7))
         b = sample_negatives(pairs, (5, 6), 4, np.random.default_rng(7))
-        assert a == b
+        assert np.array_equal(a, b)
+
+    def test_shape_and_row_alignment(self):
+        pairs = AlignmentPairSet.from_pairs([(0, 4), (3, 0), (2, 2)])
+        negs = sample_negatives(pairs, (5, 6), 7, np.random.default_rng(4))
+        assert negs.shape == (21, 2) and negs.dtype == np.int64
+        pos = np.repeat(np.array(pairs.pairs), 7, axis=0)
+        # row p*count + c corrupts pair p in exactly one side, within range
+        assert np.array_equal((negs != pos).sum(axis=1), np.ones(21))
+        assert ((negs >= 0) & (negs < [5, 6])).all()
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_replacement_uniform_over_other_ids(self, side):
+        # the original id sits at both ends of the range and in the middle, so
+        # the skip past it is checked everywhere; the bound is the chi-square
+        # quantile at 1 - 1e-6, fixed before drawing
+        sizes = (5, 7)
+        n = sizes[side]
+        pairs = AlignmentPairSet.from_pairs([(0, 6), (4, 0), (2, 3)])
+        count = 30_000
+        negs = sample_negatives(pairs, sizes, count, np.random.default_rng(5)).reshape(3, count, 2)
+        for p, orig in enumerate(np.array(pairs.pairs)):
+            changed = negs[p, :, side] != orig[side]
+            assert (negs[p, changed, 1 - side] == orig[1 - side]).all()
+            observed = np.bincount(negs[p, changed, side], minlength=n)
+            assert observed[orig[side]] == 0
+            observed = np.delete(observed, orig[side])
+            expected = changed.sum() / (n - 1)
+            stat = ((observed - expected) ** 2 / expected).sum()
+            assert stat < chi2.ppf(1 - 1e-6, df=n - 2)
+
+    @pytest.mark.parametrize("sizes,name", [((1, 5), "source"), ((5, 1), "target")])
+    def test_one_entity_side_rejected(self, sizes, name):
+        pairs = AlignmentPairSet.from_pairs([(0, 0)])
+        with pytest.raises(ValueError, match=name):
+            sample_negatives(pairs, sizes, 64, np.random.default_rng(6))
 
     def test_replacement_never_equals_original(self):
         rng = np.random.default_rng(2)
@@ -119,6 +212,22 @@ class TestNegativeSampling:
         left = sum(1 for i, _ in negs if i != 0)
         sigma = 0.5 * np.sqrt(draws)
         assert abs(left - draws / 2) < 3 * sigma
+
+
+class TestTripletBatch:
+    def test_build_is_row_aligned_in_union_space(self):
+        pairs = AlignmentPairSet.from_pairs([(0, 1), (2, 0)])
+        negs = np.array([[3, 1], [0, 2], [2, 4], [1, 0]])
+        batch = TripletBatch.build(pairs, negs, entity_offset=10)
+        assert np.array_equal(batch.pos_src, [0, 0, 2, 2])
+        assert np.array_equal(batch.pos_tgt, [11, 11, 10, 10])
+        assert np.array_equal(batch.neg_src, [3, 0, 2, 1])
+        assert np.array_equal(batch.neg_tgt, [11, 12, 14, 10])
+
+    def test_partial_multiple_rejected(self):
+        pairs = AlignmentPairSet.from_pairs([(0, 1), (2, 0)])
+        with pytest.raises(ValueError, match="multiple"):
+            TripletBatch.build(pairs, np.zeros((3, 2), dtype=np.int64), 10)
 
 
 class TestTripletLoss:
@@ -172,6 +281,45 @@ class TestGradients:
             expected[2] = -np.sign(a - c)
             expected[3] = np.sign(a - d)
             assert np.allclose(ge.ravel(), expected)
+
+    # seeds 0, 5, 10 ablate relation fusion and 0, 7, 14 the global concat
+    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("layers,dropout", [(1, False), (2, True), (3, False)])
+    def test_incidence_product_equals_scatter_oracle(self, seed, layers, dropout):
+        assert_matches_scatter_oracle(*random_instance(seed, layers, dropout))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pairs_sharing_entities_equal_scatter_oracle(self, seed):
+        pairs = [(0, 0), (0, 1), (1, 0), (2, 2), (2, 0), (3, 1)]
+        assert_matches_scatter_oracle(*random_instance(seed, 2, bool(seed % 2), pairs))
+
+    def test_repeated_positives_with_different_hinge_counts(self):
+        state, ukg, batch, enc, _, mask = random_instance(1, 2, True)
+        g = global_embedding(forward_layers(state, ukg, enc, mask))
+        n1 = int(batch.pos_tgt[0] - batch.pos_src[0])
+        rng = np.random.default_rng(8)
+        # two positives repeated out of order, each against random negatives
+        pos_src = np.array([0, 1, 0, 0, 1, 0, 1, 1, 0])
+        pos_tgt = pos_src + n1 + 1
+        neg_src = rng.integers(n1, size=9)
+        neg_tgt = rng.integers(n1, ukg.entity_count, size=9)
+        batch = TripletBatch(pos_src, pos_tgt, neg_src, neg_tgt)
+        d_pos = np.abs(g[pos_src] - g[pos_tgt]).sum(axis=1)
+        d_neg = np.abs(g[neg_src] - g[neg_tgt]).sum(axis=1)
+        gaps = np.sort(d_neg - d_pos)
+        # pick the margin splitting the hinges so the two positives end up
+        # with different, non-zero counts of active hinges
+        for margin in (gaps[1:] + gaps[:-1]) / 2:
+            if margin <= 0:
+                continue
+            active = d_pos - d_neg + margin > 0
+            counts = [active[pos_src == p].sum() for p in (0, 1)]
+            if min(counts) > 0 and counts[0] != counts[1]:
+                break
+        else:
+            pytest.fail("no margin gives distinct non-zero hinge counts")
+        trn = TrainConfig(margin=float(margin), dropout_rate=0.3)
+        assert_matches_scatter_oracle(state, ukg, batch, enc, trn, mask)
 
     @pytest.mark.parametrize("seed,layers,dropout", [(0, 1, False), (1, 2, False), (3, 2, True)])
     def test_finite_difference_agreement(self, seed, layers, dropout):
