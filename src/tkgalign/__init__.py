@@ -30,10 +30,7 @@ from .io import DatasetLayout, load_dataset, read_predictions, write_pairs, writ
 from .kg import (
     AlignmentPairSet,
     MergedTimeVocabulary,
-    Quadruple,
     TemporalKG,
-    TimeAnnotation,
-    build_adjacency,
     build_merged_time_vocabulary,
     union_graph,
 )
@@ -41,7 +38,6 @@ from .seeds import generate_seeds
 from .synth import SynthParams, make_benchmark, write_benchmark
 from .timesim import (
     SimilarityMatrix,
-    TimeDictionary,
     build_time_dictionary,
     build_time_similarity_matrix,
     time_similarity,

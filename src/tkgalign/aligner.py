@@ -133,9 +133,7 @@ def _scored_similarity(
     """Combined + CSLS-rescaled similarity restricted to the given pools."""
     g = forward(state, union_kg, enc_config)
     emb = embedding_similarity(g[:n1], g[n1:], source_ids, target_ids)
-    time_sub = time_matrix.submatrix(source_ids, target_ids)
-    time_sub = SimilarityMatrix(emb.source_ids, emb.target_ids, time_sub.dense, kind="time")
-    mixed = combine(emb, time_sub, align_config.alpha)
+    mixed = combine(emb, time_matrix.submatrix(source_ids, target_ids), align_config.alpha)
     return csls_rescale(mixed, align_config.csls_k)
 
 

@@ -33,10 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-# Above this many |E1| x |E2| cells the time matrix is built sparse.
-DENSE_TIME_MATRIX_CELLS = 8_000_000
-
-
 ABLATION_ALIASES = {
     "relation-fusion": "relation-fusion",
     "rff": "relation-fusion",
@@ -101,10 +97,9 @@ def run_alignment(
     t0 = time.time()
 
     kg1, kg2, vocab, seeds, refs = kg_io.load_dataset(layout)
-    dic1 = build_time_dictionary(kg1)
-    dic2 = build_time_dictionary(kg2)
-    big = kg1.entity_count * kg2.entity_count > DENSE_TIME_MATRIX_CELLS
-    time_matrix = build_time_similarity_matrix(dic1, dic2, sparse=big)
+    time_matrix = build_time_similarity_matrix(
+        build_time_dictionary(kg1), build_time_dictionary(kg2)
+    )
 
     unsupervised = len(seeds) == 0
     if unsupervised:
@@ -265,10 +260,7 @@ def cmd_seeds(args) -> int:
     out = Path(args.output_dir or cfg.get("output_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     kg1, kg2, _, _, refs = kg_io.load_dataset(layout)
-    big = kg1.entity_count * kg2.entity_count > DENSE_TIME_MATRIX_CELLS
-    matrix = build_time_similarity_matrix(
-        build_time_dictionary(kg1), build_time_dictionary(kg2), sparse=big
-    )
+    matrix = build_time_similarity_matrix(build_time_dictionary(kg1), build_time_dictionary(kg2))
     seeds = generate_seeds(matrix)
     kg_io.write_pairs(seeds, out / "generated_pairs")
     print(f"generated {len(seeds)} seed pairs")

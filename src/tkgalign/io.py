@@ -2,9 +2,10 @@
 
 File formats (tab separated, one record per line):
   quadruple file: head  relation  tail  time_begin  time_end
-      integer ids for head/relation/tail, raw timestamp labels for the time
-      columns; a point-in-time fact repeats the same label in both columns.
-      Label "0" (or empty) marks an unknown/open boundary.
+      non-negative integer ids for head/relation/tail, raw timestamp labels
+      for the time columns; a point-in-time fact repeats the same label in
+      both columns. Labels "0", "", "###", "inf", "-inf" and "~" mark an
+      unknown/open boundary.
   pair file:      id_in_G1  id_in_G2
   prediction file: source_id  target_id  score
 """
@@ -14,12 +15,17 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .kg import (
+    HEAD,
+    RELATION,
+    TAIL,
+    UNKNOWN_TIME_ID,
+    UNKNOWN_TIME_LABELS,
     AlignmentPairSet,
     MergedTimeVocabulary,
-    Quadruple,
     TemporalKG,
-    TimeAnnotation,
     build_merged_time_vocabulary,
 )
 
@@ -51,8 +57,10 @@ class ParseError(ValueError):
     pass
 
 
-def _parse_quad_lines(path: Path) -> list[tuple[int, int, int, str, str]]:
-    rows = []
+def _parse_quad_lines(path: Path) -> tuple[list[tuple[int, int, int]], list[str]]:
+    """(head, relation, tail) ids per line, and the stripped time_begin and
+    time_end labels of every line, flattened in order."""
+    ids, labels = [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -65,8 +73,11 @@ def _parse_quad_lines(path: Path) -> list[tuple[int, int, int, str, str]]:
                 h, r, t = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
-            rows.append((h, r, t, parts[3].strip(), parts[4].strip()))
-    return rows
+            if h < 0 or r < 0 or t < 0:
+                raise ParseError(f"{path}:{lineno}: negative id in quadruple ({h}, {r}, {t})")
+            ids.append((h, r, t))
+            labels += (parts[3].strip(), parts[4].strip())
+    return ids, labels
 
 
 def read_pairs(path: Path, provenance: str = "gold") -> AlignmentPairSet:
@@ -101,12 +112,10 @@ def load_dataset(
     """Parse a dataset into graph structures sharing one merged timestamp
     vocabulary. Entity/relation counts are inferred from the maximum ids seen
     in the quadruple and pair files of each graph."""
-    raw1 = _parse_quad_lines(Path(layout.quads1))
-    raw2 = _parse_quad_lines(Path(layout.quads2))
-    vocab = build_merged_time_vocabulary(
-        (lab for row in raw1 for lab in row[3:5]),
-        (lab for row in raw2 for lab in row[3:5]),
-    )
+    ids1, labels1 = _parse_quad_lines(Path(layout.quads1))
+    ids2, labels2 = _parse_quad_lines(Path(layout.quads2))
+    vocab = build_merged_time_vocabulary(set(labels1), set(labels2))
+    time_ids = {**dict.fromkeys(UNKNOWN_TIME_LABELS, UNKNOWN_TIME_ID), **vocab.label_to_id}
 
     seeds = (
         read_pairs(Path(layout.sup_pairs))
@@ -119,27 +128,16 @@ def load_dataset(
         else AlignmentPairSet.from_pairs([])
     )
 
-    def counts(raw, side):
-        max_e = max((max(h, t) for h, _, t, _, _ in raw), default=-1)
-        max_r = max((r for _, r, _, _, _ in raw), default=-1)
+    def build(ids, labels, side):
+        quads = np.hstack([
+            np.array(ids, dtype=np.int64).reshape(-1, 3),
+            np.array([time_ids[x] for x in labels], dtype=np.int64).reshape(-1, 2),
+        ])
         pair_ids = [p[side] for p in seeds.pairs + refs.pairs]
-        if pair_ids:
-            max_e = max(max_e, max(pair_ids))
-        return max_e + 1, max_r + 1
+        n = max(int(quads[:, [HEAD, TAIL]].max(initial=-1)), max(pair_ids, default=-1)) + 1
+        return TemporalKG.build(quads, n, int(quads[:, RELATION].max(initial=-1)) + 1)
 
-    n1, m1 = counts(raw1, 0)
-    n2, m2 = counts(raw2, 1)
-
-    def to_quads(raw):
-        quads = []
-        for h, r, t, tb, te in raw:
-            b, e = vocab.id_of(tb), vocab.id_of(te)
-            quads.append(Quadruple(h, r, t, TimeAnnotation(b, e)))
-        return quads
-
-    kg1 = TemporalKG.build(to_quads(raw1), n1, m1)
-    kg2 = TemporalKG.build(to_quads(raw2), n2, m2)
-    return kg1, kg2, vocab, seeds, refs
+    return build(ids1, labels1, 0), build(ids2, labels2, 1), vocab, seeds, refs
 
 
 def write_predictions(pairs: AlignmentPairSet, path: Path) -> None:

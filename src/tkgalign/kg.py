@@ -7,7 +7,7 @@ information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,42 +16,6 @@ UNKNOWN_TIME_ID = 0
 
 # raw labels that denote an unknown / open boundary in dataset files
 UNKNOWN_TIME_LABELS = frozenset({"", "0", "###", "inf", "-inf", "~"})
-
-
-@dataclass(frozen=True)
-class TimeAnnotation:
-    """Point or interval time of a fact, as ids in the merged vocabulary.
-
-    A point in time is stored with begin == end.
-    """
-
-    begin: int
-    end: int
-
-    @classmethod
-    def point(cls, t: int) -> "TimeAnnotation":
-        return cls(t, t)
-
-    @property
-    def is_point(self) -> bool:
-        return self.begin == self.end
-
-    def stamps(self) -> tuple[int, ...]:
-        """Timestamp ids this annotation contributes to a time dictionary.
-
-        A point contributes its single id once; an interval contributes both
-        endpoints. Reserved id 0 (unknown boundary) is dropped.
-        """
-        ids = (self.begin,) if self.is_point else (self.begin, self.end)
-        return tuple(t for t in ids if t != UNKNOWN_TIME_ID)
-
-
-@dataclass(frozen=True)
-class Quadruple:
-    head: int
-    relation: int
-    tail: int
-    time: TimeAnnotation
 
 
 @dataclass
@@ -84,73 +48,61 @@ def build_merged_time_vocabulary(
     return MergedTimeVocabulary({lab: i + 1 for i, lab in enumerate(sorted(labels))})
 
 
-def build_adjacency(
-    quadruples: Sequence[Quadruple], entity_count: int
-) -> tuple[sp.csr_matrix, np.ndarray, list[set[int]], list[list[int]]]:
-    """Build the entity graph structures consumed by the encoder.
+# columns of `TemporalKG.quadruples`
+HEAD, RELATION, TAIL, TIME_BEGIN, TIME_END = range(5)
 
-    Returns (adjacency, degree, entity_neighbors, entity_relations) where
-    adjacency is a symmetric 0/1 csr matrix with self-loops, degree counts
-    each entity's neighbor set (self included), entity_neighbors[e] is that
-    set, and entity_relations[e] is the multiset (list) of relation ids of
-    every quadruple incident to e. Parallel edges collapse to one adjacency
-    entry but keep all their relation occurrences.
-    """
-    neighbors: list[set[int]] = [{e} for e in range(entity_count)]
-    relations: list[list[int]] = [[] for _ in range(entity_count)]
-    for idx, q in enumerate(quadruples):
-        if not (0 <= q.head < entity_count and 0 <= q.tail < entity_count):
-            raise ValueError(f"entity id out of range in quadruple {idx}: {q}")
-        neighbors[q.head].add(q.tail)
-        neighbors[q.tail].add(q.head)
-        relations[q.head].append(q.relation)
-        relations[q.tail].append(q.relation)
 
-    degree = np.array([len(n) for n in neighbors], dtype=np.int64)
-    indptr = np.zeros(entity_count + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for e, n in enumerate(neighbors):
-        indices[indptr[e] : indptr[e + 1]] = sorted(n)
-    data = np.ones(len(indices), dtype=np.float64)
-    adjacency = sp.csr_matrix((data, indices, indptr), shape=(entity_count, entity_count))
-    return adjacency, degree, neighbors, relations
+def _first_bad_row(bad: np.ndarray, q: np.ndarray, what: str) -> None:
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise ValueError(f"{what} id out of range in quadruple {idx}: {q[idx].tolist()}")
 
 
 @dataclass
 class TemporalKG:
     """One temporal KG: quadruples plus derived adjacency structures.
 
+    `quadruples` is an (n, 5) int64 array with columns head, relation, tail,
+    time_begin and time_end; a point in time has begin == end. `adjacency`
+    is the symmetric 0/1 entity graph with self-loops (parallel edges
+    collapse to one entry) and `degree` counts each row's entries.
     Immutable after construction; safe for concurrent reads.
     """
 
     entity_count: int
     relation_count: int
-    quadruples: list[Quadruple]
+    quadruples: np.ndarray
     adjacency: sp.csr_matrix
     degree: np.ndarray
-    entity_neighbors: list[set[int]]
-    entity_relations: list[list[int]]
     _mean_operator: sp.csr_matrix | None = field(default=None, repr=False)
     _mean_operator_t: sp.csr_matrix | None = field(default=None, repr=False)
     _relation_operator: sp.csr_matrix | None = field(default=None, repr=False)
 
     @classmethod
-    def build(
-        cls, quadruples: Sequence[Quadruple], entity_count: int, relation_count: int
-    ) -> "TemporalKG":
-        for idx, q in enumerate(quadruples):
-            if not (0 <= q.relation < relation_count):
-                raise ValueError(f"relation id out of range in quadruple {idx}: {q}")
-        adjacency, degree, neighbors, relations = build_adjacency(quadruples, entity_count)
+    def build(cls, quadruples, entity_count: int, relation_count: int) -> "TemporalKG":
+        q = np.asarray(quadruples, dtype=np.int64)
+        if q.size == 0:
+            q = q.reshape(0, 5)
+        if q.ndim != 2 or q.shape[1] != 5:
+            raise ValueError("quadruples must be an (n, 5) array: head, relation, tail, "
+                             "time_begin, time_end")
+        r = q[:, RELATION]
+        _first_bad_row((r < 0) | (r >= relation_count), q, "relation")
+        ends = q[:, [HEAD, TAIL]]
+        _first_bad_row(((ends < 0) | (ends >= entity_count)).any(axis=1), q, "entity")
+        loops = np.arange(entity_count)
+        rows = np.concatenate([q[:, HEAD], q[:, TAIL], loops])
+        cols = np.concatenate([q[:, TAIL], q[:, HEAD], loops])
+        adjacency = sp.coo_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(entity_count, entity_count)
+        ).tocsr()
+        adjacency.data[:] = 1.0
         return cls(
             entity_count=entity_count,
             relation_count=relation_count,
-            quadruples=list(quadruples),
+            quadruples=q,
             adjacency=adjacency,
-            degree=degree,
-            entity_neighbors=neighbors,
-            entity_relations=relations,
+            degree=np.diff(adjacency.indptr).astype(np.int64),
         )
 
     @property
@@ -172,22 +124,17 @@ class TemporalKG:
     @property
     def relation_operator(self) -> sp.csr_matrix:
         """Sparse (entities x relations) operator whose application takes the
-        mean relation embedding over each entity's incident relation multiset.
+        mean relation embedding over each entity's incident relation multiset
+        (a quadruple counts once for its head and once for its tail).
         Rows of entities with no incident relations are all-zero."""
         if self._relation_operator is None:
-            rows, cols, vals = [], [], []
-            for e, rels in enumerate(self.entity_relations):
-                if not rels:
-                    continue
-                w = 1.0 / len(rels)
-                for r in rels:
-                    rows.append(e)
-                    cols.append(r)
-                    vals.append(w)
-            self._relation_operator = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.entity_count, self.relation_count)
-            )
-            self._relation_operator.sum_duplicates()
+            q = self.quadruples
+            rows = np.concatenate([q[:, HEAD], q[:, TAIL]])
+            incident = np.bincount(rows, minlength=self.entity_count)
+            self._relation_operator = sp.coo_matrix(
+                (1.0 / incident[rows], (rows, np.tile(q[:, RELATION], 2))),
+                shape=(self.entity_count, self.relation_count),
+            ).tocsr()
         return self._relation_operator
 
 
@@ -196,12 +143,11 @@ def union_graph(kg1: TemporalKG, kg2: TemporalKG) -> TemporalKG:
     graph are offset by the first graph's counts. One shared embedding space
     then serves both graphs in a single forward pass."""
     e_off, r_off = kg1.entity_count, kg1.relation_count
-    quads = list(kg1.quadruples) + [
-        Quadruple(q.head + e_off, q.relation + r_off, q.tail + e_off, q.time)
-        for q in kg2.quadruples
-    ]
+    shifted = kg2.quadruples + np.array([e_off, r_off, e_off, 0, 0])
     return TemporalKG.build(
-        quads, kg1.entity_count + kg2.entity_count, kg1.relation_count + kg2.relation_count
+        np.concatenate([kg1.quadruples, shifted]),
+        kg1.entity_count + kg2.entity_count,
+        kg1.relation_count + kg2.relation_count,
     )
 
 

@@ -19,26 +19,17 @@ EXACT_MATCH_TOL = 1e-12
 def generate_seeds(time_sim: SimilarityMatrix, tol: float = EXACT_MATCH_TOL) -> AlignmentPairSet:
     if time_sim.kind != "time":
         raise ValueError("seed generation expects a time similarity matrix")
-    s = time_sim.scores
-    if sp.issparse(s):
-        s = s.tocsr()
-        exact = sp.csr_matrix(
-            (np.abs(s.data - 1.0) <= tol, s.indices, s.indptr), shape=s.shape
-        )
-        row_counts = np.asarray(exact.sum(axis=1)).ravel()
-        col_counts = np.asarray(exact.sum(axis=0)).ravel()
-        exact_coo = exact.tocoo()
-        hits = [(i, j) for i, j, v in zip(exact_coo.row, exact_coo.col, exact_coo.data) if v]
-    else:
-        mask = np.abs(s - 1.0) <= tol
-        row_counts = mask.sum(axis=1)
-        col_counts = mask.sum(axis=0)
-        hits = list(zip(*np.nonzero(mask)))
-
-    pairs = [
-        (int(time_sim.source_ids[i]), int(time_sim.target_ids[j]))
-        for i, j in hits
-        if row_counts[i] == 1 and col_counts[j] == 1
-    ]
-    pairs.sort()
+    s = sp.csr_matrix(time_sim.scores)
+    # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset
+    # keeps the exact test from allocating a float per stored score
+    near = np.flatnonzero(s.data >= 1.0 - 2.0 * tol)
+    hits = near[np.abs(s.data[near] - 1.0) <= tol]
+    rows = np.searchsorted(s.indptr, hits, side="right") - 1
+    cols = s.indices[hits]
+    unique = (np.bincount(rows, minlength=s.shape[0])[rows] == 1) & (
+        np.bincount(cols, minlength=s.shape[1])[cols] == 1
+    )
+    src = np.asarray(time_sim.source_ids)[rows[unique]]
+    tgt = np.asarray(time_sim.target_ids)[cols[unique]]
+    pairs = sorted(zip(src.tolist(), tgt.tolist()))
     return AlignmentPairSet.from_pairs(pairs, provenance="generated")

@@ -9,37 +9,30 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .kg import TemporalKG
+from .kg import HEAD, TAIL, TIME_BEGIN, TIME_END, UNKNOWN_TIME_ID, TemporalKG
 
 
-@dataclass
-class TimeDictionary:
-    """Multiset of timestamp ids per entity, harvested from quadruples."""
-
-    entries: list[Counter]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def sizes(self) -> np.ndarray:
-        return np.array([sum(c.values()) for c in self.entries], dtype=np.int64)
-
-
-def build_time_dictionary(kg: TemporalKG) -> TimeDictionary:
-    """Harvest timestamps: each quadruple appends its time ids to the
-    dictionaries of both its head and its tail. Interval facts contribute
-    both endpoints; reserved id 0 contributes nothing."""
-    entries = [Counter() for _ in range(kg.entity_count)]
-    for q in kg.quadruples:
-        stamps = q.time.stamps()
-        entries[q.head].update(stamps)
-        entries[q.tail].update(stamps)
-    return TimeDictionary(entries)
+def build_time_dictionary(kg: TemporalKG) -> sp.csr_matrix:
+    """Harvest timestamps into a sparse (entities x timestamp ids) count
+    matrix: each quadruple adds its time ids to the rows of both its head
+    and its tail. A point adds its id once, an interval both endpoints;
+    reserved id 0 adds nothing."""
+    q = kg.quadruples
+    begin, end = q[:, TIME_BEGIN], q[:, TIME_END]
+    stamps = np.concatenate([begin, np.where(begin == end, UNKNOWN_TIME_ID, end)])
+    rows = np.concatenate([q[:, HEAD], q[:, HEAD], q[:, TAIL], q[:, TAIL]])
+    cols = np.tile(stamps, 2)
+    known = cols != UNKNOWN_TIME_ID
+    width = int(q[:, TIME_BEGIN:].max(initial=UNKNOWN_TIME_ID)) + 1
+    return sp.coo_matrix(
+        (np.ones(int(known.sum()), dtype=np.int64), (rows[known], cols[known])),
+        shape=(kg.entity_count, width),
+    ).tocsr()
 
 
 def time_similarity(dic_i: Counter | Iterable[int], dic_j: Counter | Iterable[int]) -> float:
@@ -88,78 +81,50 @@ class SimilarityMatrix:
         )
 
 
-def _topk_truncate_row(row: np.ndarray, k: int) -> np.ndarray:
-    """Zero all but the k largest entries; ties kept at smaller indices."""
-    if k >= len(row):
-        return row
-    order = np.lexsort((np.arange(len(row)), -row))
-    out = np.zeros_like(row)
-    keep = order[:k]
-    out[keep] = row[keep]
-    return out
+# rows of the time matrix whose scores are finished per step, so the
+# temporaries stay small next to the matrix itself
+_SCALE_ROWS = 1024
 
 
-def build_time_similarity_matrix(
-    dic1: TimeDictionary,
-    dic2: TimeDictionary,
-    source_ids: Sequence[int] | None = None,
-    target_ids: Sequence[int] | None = None,
-    top_k: int | None = None,
-    sparse: bool = False,
-    block_size: int = 4096,
-) -> SimilarityMatrix:
-    """Pairwise temporal matching scores via an inverted timestamp index.
+def _occurrence_sets(counts: sp.csr_matrix, k: int, width: int) -> sp.csr_matrix:
+    """0/1 rows over (timestamp, occurrence) columns: the multiset {t: a_t}
+    becomes the set {(t, 0), ..., (t, a_t - 1)}, column t*k + j."""
+    entries = counts.tocoo()
+    reps = entries.data
+    rows = np.repeat(entries.row, reps)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    cols = np.repeat(entries.col.astype(np.int64) * k, reps) + np.arange(len(rows)) - first
+    return sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(counts.shape[0], width * k)
+    )
 
-    Only entity pairs sharing at least one timestamp produce work; every
-    absent entry is exactly 0. Rows are processed in blocks; with top_k set,
-    each row keeps only its k largest entries (ties broken toward smaller
-    target index).
+
+def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> SimilarityMatrix:
+    """Pairwise temporal matching scores between every entity of two count
+    matrices (rows = entities, columns = timestamp ids), as CSR.
+
+    The multiset intersection size c = sum_t min(a_t, b_t) is one sparse
+    product of the two (timestamp, occurrence) set matrices. Only pairs
+    sharing a timestamp are stored; every absent entry is exactly 0.
     """
-    src = np.arange(len(dic1)) if source_ids is None else np.asarray(source_ids, dtype=np.int64)
-    tgt = np.arange(len(dic2)) if target_ids is None else np.asarray(target_ids, dtype=np.int64)
-
-    # inverted index over the target side: timestamp -> (positions, multiplicities)
-    index: dict[int, tuple[list[int], list[int]]] = {}
-    n_sizes = np.zeros(len(tgt), dtype=np.int64)
-    for pos, e in enumerate(tgt):
-        cnt = dic2.entries[e]
-        n_sizes[pos] = sum(cnt.values())
-        for t, mult in cnt.items():
-            index.setdefault(t, ([], []))[0].append(pos)
-            index[t][1].append(mult)
-    np_index = {t: (np.array(p, dtype=np.int64), np.array(m, dtype=np.int64)) for t, (p, m) in index.items()}
-
-    nt = len(tgt)
-    blocks: list[np.ndarray] = []
-    sparse_blocks: list[sp.csr_matrix] = []
-    for start in range(0, len(src), block_size):
-        chunk = src[start : start + block_size]
-        block = np.zeros((len(chunk), nt), dtype=np.float64)
-        for i, e in enumerate(chunk):
-            cnt = dic1.entries[e]
-            m = sum(cnt.values())
-            if m == 0:
-                continue
-            c = np.zeros(nt, dtype=np.float64)
-            for t, mult in cnt.items():
-                hit = np_index.get(t)
-                if hit is None:
-                    continue
-                pos, mm = hit
-                c[pos] += np.minimum(mult, mm)
-            denom = m + n_sizes
-            row = np.divide(2.0 * c, denom, out=np.zeros(nt), where=denom > 0)
-            if top_k is not None:
-                row = _topk_truncate_row(row, top_k)
-            block[i] = row
-        if sparse:
-            sparse_blocks.append(sp.csr_matrix(block))
-        else:
-            blocks.append(block)
-
-    if sparse:
-        scores: np.ndarray | sp.csr_matrix
-        scores = sp.vstack(sparse_blocks).tocsr() if sparse_blocks else sp.csr_matrix((0, nt))
-    else:
-        scores = np.vstack(blocks) if blocks else np.zeros((0, nt))
-    return SimilarityMatrix(source_ids=src, target_ids=tgt, scores=scores, kind="time")
+    a, b = sp.csr_matrix(dic1), sp.csr_matrix(dic2)
+    width = max(a.shape[1], b.shape[1])
+    k = int(max(a.data.max(initial=0), b.data.max(initial=0), 1))
+    scores = _occurrence_sets(a, k, width) @ _occurrence_sets(b, k, width).T
+    scores.sort_indices()
+    m = np.asarray(a.sum(axis=1)).ravel()
+    n = np.asarray(b.sum(axis=1)).ravel()
+    ptr = scores.indptr
+    for start in range(0, scores.shape[0], _SCALE_ROWS):
+        stop = min(start + _SCALE_ROWS, scores.shape[0])
+        seg = slice(ptr[start], ptr[stop])
+        denom = np.repeat(m[start:stop], np.diff(ptr[start : stop + 1])) + n[scores.indices[seg]]
+        c = scores.data[seg]
+        c *= 2.0
+        c /= denom
+    return SimilarityMatrix(
+        source_ids=np.arange(a.shape[0]),
+        target_ids=np.arange(b.shape[0]),
+        scores=scores,
+        kind="time",
+    )

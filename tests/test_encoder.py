@@ -11,11 +11,28 @@ from tkgalign.encoder import (
     init_embeddings,
     make_dropout_mask,
 )
-from tkgalign.kg import Quadruple, TemporalKG, TimeAnnotation
+from tkgalign.kg import TemporalKG
 
 
 def P(t):
-    return TimeAnnotation.point(t)
+    return (t, t)
+
+
+def Quadruple(head, relation, tail, time):
+    return [head, relation, tail, *time]
+
+
+def naive_structure(kg):
+    """Neighbor sets (self included) and incident relation multisets per
+    entity, accumulated fact by fact from the graph's raw rows."""
+    neighbors = [{e} for e in range(kg.entity_count)]
+    relations = [[] for _ in range(kg.entity_count)]
+    for head, relation, tail, _, _ in kg.quadruples.tolist():
+        neighbors[head].add(tail)
+        neighbors[tail].add(head)
+        relations[head].append(relation)
+        relations[tail].append(relation)
+    return neighbors, relations
 
 
 def random_kg(rng, n=15, m=4, edges=30):
@@ -72,9 +89,10 @@ class TestFusion:
         cfg = EncoderConfig(dim=5, init_seed=3)
         st = init_embeddings(cfg, 15, 4)
         fused = fuse_features(st, kg, cfg)
+        neighbors, relations = naive_structure(kg)
         for e in range(15):
-            he = np.mean([st.entity_table[x] for x in kg.entity_neighbors[e]], axis=0)
-            rels = kg.entity_relations[e]
+            he = np.mean([st.entity_table[x] for x in neighbors[e]], axis=0)
+            rels = relations[e]
             hr = (
                 np.mean([st.relation_table[r] for r in rels], axis=0)
                 if rels
@@ -117,8 +135,9 @@ class TestAggregation:
         kg = random_kg(rng)
         x = rng.uniform(1.0, 2.0, size=(15, 3))  # positive input: relu inactive
         out = aggregate_layer(x, kg)
+        neighbors, _ = naive_structure(kg)
         for e in range(15):
-            rows = x[sorted(kg.entity_neighbors[e])]
+            rows = x[sorted(neighbors[e])]
             assert np.all(out[e] >= rows.min(axis=0) - 1e-12)
             assert np.all(out[e] <= rows.max(axis=0) + 1e-12)
 
@@ -191,7 +210,7 @@ class TestForward:
         g = forward(st, kg, cfg)
 
         perm = rng.permutation(n)
-        pquads = [Quadruple(int(perm[q.head]), q.relation, int(perm[q.tail]), q.time) for q in quads]
+        pquads = [[int(perm[h]), r, int(perm[t]), tb, te] for h, r, t, tb, te in quads]
         pkg = TemporalKG.build(pquads, n, m)
         pst = init_embeddings(cfg, n, m)
         pst.entity_table[perm] = st.entity_table

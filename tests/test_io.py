@@ -10,7 +10,7 @@ from tkgalign.io import (
     write_pairs,
     write_predictions,
 )
-from tkgalign.kg import AlignmentPairSet, Quadruple, TimeAnnotation
+from tkgalign.kg import AlignmentPairSet
 
 
 @pytest.fixture
@@ -33,15 +33,15 @@ def test_load_dataset_hand_fixture(small_dataset):
     kg1, kg2, vocab, seeds, refs = load_dataset(DatasetLayout.from_dir(small_dataset))
     assert vocab.size == 3  # 2005, 2008, 2011
     i2005, i2008, i2011 = vocab.id_of("2005"), vocab.id_of("2008"), vocab.id_of("2011")
-    assert kg1.quadruples == [
-        Quadruple(0, 0, 1, TimeAnnotation.point(i2005)),
-        Quadruple(1, 1, 2, TimeAnnotation(i2005, i2008)),
-        Quadruple(2, 0, 0, TimeAnnotation.point(i2011)),
+    assert kg1.quadruples.tolist() == [
+        [0, 0, 1, i2005, i2005],
+        [1, 1, 2, i2005, i2008],
+        [2, 0, 0, i2011, i2011],
     ]
     assert (kg1.entity_count, kg1.relation_count) == (3, 2)
     assert (kg2.entity_count, kg2.relation_count) == (3, 1)
     # open-start interval keeps the reserved id 0
-    assert kg2.quadruples[1].time == TimeAnnotation(0, i2005)
+    assert kg2.quadruples[1, 3:].tolist() == [0, i2005]
     assert seeds.pairs == [(0, 0), (1, 1)]
     assert refs.pairs == [(2, 2)]
 
@@ -75,6 +75,18 @@ def test_negative_pair_id_reports_location(tmp_path, name, row):
     (tmp_path / "triples_2").write_text("0\t0\t1\t5\t5\n")
     (tmp_path / name).write_text(f"0\t0\n{row}\n")
     with pytest.raises(ParseError, match=rf"{name}:2: negative"):
+        load_dataset(DatasetLayout.from_dir(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["-1\t0\t1\t2005\t2005", "0\t-3\t1\t5\t5", "0\t0\t-1\t5\t5"],
+    ids=["head", "relation", "tail"],
+)
+def test_negative_quadruple_id_reports_location(tmp_path, row):
+    (tmp_path / "triples_1").write_text("0\t0\t1\t5\t5\n")
+    (tmp_path / "triples_2").write_text(f"0\t0\t1\t5\t5\n{row}\n")
+    with pytest.raises(ParseError, match=r"triples_2:2: negative"):
         load_dataset(DatasetLayout.from_dir(tmp_path))
 
 

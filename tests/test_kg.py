@@ -4,17 +4,33 @@ from hypothesis import given, strategies as st
 
 from tkgalign.kg import (
     AlignmentPairSet,
-    Quadruple,
     TemporalKG,
-    TimeAnnotation,
-    build_adjacency,
     build_merged_time_vocabulary,
     union_graph,
 )
 
 
 def P(t):
-    return TimeAnnotation.point(t)
+    return (t, t)
+
+
+def Quadruple(head, relation, tail, time):
+    return [head, relation, tail, *time]
+
+
+def build_adjacency(quads, entity_count):
+    """(adjacency, degree, neighbor sets, relation multisets) of a graph; the
+    sets are read back from its adjacency rows, the multisets from its mean
+    relation operator times each entity's incident fact count."""
+    kg = TemporalKG.build(quads, entity_count, 1 + max((q[1] for q in quads), default=0))
+    adj, op = kg.adjacency, kg.relation_operator
+    incident = np.bincount([e for q in quads for e in (q[0], q[2])], minlength=entity_count)
+    neigh = [set(adj[e].indices.tolist()) for e in range(entity_count)]
+    rels = [
+        np.repeat(op[e].indices, np.rint(op[e].data * incident[e]).astype(int)).tolist()
+        for e in range(entity_count)
+    ]
+    return adj, kg.degree, neigh, rels
 
 
 class TestMergedVocabulary:
@@ -74,9 +90,9 @@ class TestAdjacency:
         adj, degree, neigh, _ = build_adjacency(quads, n)
         # brute-force neighbor sets
         expected = [{e} for e in range(n)]
-        for q in quads:
-            expected[q.head].add(q.tail)
-            expected[q.tail].add(q.head)
+        for head, _, tail, *_ in quads:
+            expected[head].add(tail)
+            expected[tail].add(head)
         assert neigh == expected
         assert degree.tolist() == [len(s) for s in expected]
         dense = adj.toarray()
@@ -96,6 +112,15 @@ class TestTemporalKG:
         with pytest.raises(ValueError, match="relation id"):
             TemporalKG.build([Quadruple(0, 3, 1, P(1))], 2, 2)
 
+    def test_quadruples_need_five_columns(self):
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            TemporalKG.build([[0, 0, 1, 1]], 2, 1)
+
+    def test_negative_entity_reports_first_bad_row(self):
+        quads = [Quadruple(0, 0, 1, P(1)), Quadruple(-1, 0, 1, P(1)), Quadruple(0, 0, 7, P(1))]
+        with pytest.raises(ValueError, match=r"entity id out of range in quadruple 1: \[-1,"):
+            TemporalKG.build(quads, 2, 1)
+
     def test_mean_operator_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         quads = [
@@ -111,7 +136,7 @@ class TestTemporalKG:
         kg2 = TemporalKG.build([Quadruple(0, 0, 2, P(2))], 3, 2)
         u = union_graph(kg1, kg2)
         assert u.entity_count == 5 and u.relation_count == 3
-        assert u.quadruples[1] == Quadruple(2, 1, 4, P(2))
+        assert u.quadruples[1].tolist() == Quadruple(2, 1, 4, P(2))
         # no cross edges between the two components
         assert u.adjacency[0, 2] == 0
 

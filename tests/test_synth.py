@@ -38,7 +38,7 @@ def test_statistics_match_request(tmp_path):
     assert len(kg1.quadruples) == len(kg2.quadruples) == 50 * 4
     assert len(seeds) == 7 and len(refs) == 43
     assert vocab.size <= p.timestamps
-    heads = {q.head for q in kg1.quadruples}
+    heads = set(kg1.quadruples[:, 0].tolist())
     assert heads == set(range(50))
 
 

@@ -2,15 +2,45 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from tkgalign.kg import Quadruple, TemporalKG, TimeAnnotation
+from tkgalign.kg import TemporalKG
+from tkgalign.seeds import generate_seeds
 from tkgalign.timesim import (
-    TimeDictionary,
     build_time_dictionary,
     build_time_similarity_matrix,
     time_similarity,
 )
+
+
+def Quadruple(head, relation, tail, time):
+    return [head, relation, tail, *time]
+
+
+def point(t):
+    return (t, t)
+
+
+def stamps(begin, end):
+    """Time ids a fact contributes: a point once, an interval both ends, 0 never."""
+    return [t for t in ((begin,) if begin == end else (begin, end)) if t != 0]
+
+
+def counts(counters):
+    """Entity x timestamp count matrix of a list of Counters."""
+    width = 1 + max((t for c in counters for t in c), default=0)
+    dense = np.zeros((len(counters), width), dtype=np.int64)
+    for e, c in enumerate(counters):
+        for t, a in c.items():
+            dense[e, t] = a
+    return sp.csr_matrix(dense)
+
+
+def entry(dic, e):
+    """Row e of a count matrix as a Counter."""
+    row = dic[e]
+    return Counter(dict(zip(row.indices.tolist(), row.data.tolist())))
 
 
 def naive_similarity(a, b):
@@ -28,35 +58,35 @@ def naive_similarity(a, b):
 
 class TestDictionary:
     def test_point_quadruple(self):
-        kg = TemporalKG.build([Quadruple(0, 0, 1, TimeAnnotation.point(5))], 2, 1)
+        kg = TemporalKG.build([Quadruple(0, 0, 1, point(5))], 2, 1)
         dic = build_time_dictionary(kg)
-        assert dic.entries[0] == Counter({5: 1})
-        assert dic.entries[1] == Counter({5: 1})
+        assert entry(dic, 0) == Counter({5: 1})
+        assert entry(dic, 1) == Counter({5: 1})
 
     def test_interval_contributes_both_ends(self):
-        kg = TemporalKG.build([Quadruple(0, 0, 1, TimeAnnotation(5, 9))], 2, 1)
+        kg = TemporalKG.build([Quadruple(0, 0, 1, (5, 9))], 2, 1)
         dic = build_time_dictionary(kg)
-        assert dic.entries[0] == Counter({5: 1, 9: 1})
-        assert dic.entries[1] == Counter({5: 1, 9: 1})
+        assert entry(dic, 0) == Counter({5: 1, 9: 1})
+        assert entry(dic, 1) == Counter({5: 1, 9: 1})
 
     def test_reserved_id_excluded(self):
-        kg = TemporalKG.build([Quadruple(0, 0, 1, TimeAnnotation(0, 9))], 2, 1)
+        kg = TemporalKG.build([Quadruple(0, 0, 1, (0, 9))], 2, 1)
         dic = build_time_dictionary(kg)
-        assert dic.entries[0] == Counter({9: 1})
+        assert entry(dic, 0) == Counter({9: 1})
 
     def test_shared_head_accumulates(self):
         quads = [
-            Quadruple(0, 0, 1, TimeAnnotation.point(5)),
-            Quadruple(0, 0, 2, TimeAnnotation(5, 7)),
+            Quadruple(0, 0, 1, point(5)),
+            Quadruple(0, 0, 2, (5, 7)),
         ]
         kg = TemporalKG.build(quads, 3, 1)
         dic = build_time_dictionary(kg)
         # brute-force accumulation over incident quadruples
         expected = Counter()
-        for q in quads:
-            if q.head == 0 or q.tail == 0:
-                expected.update(q.time.stamps())
-        assert dic.entries[0] == expected == Counter({5: 2, 7: 1})
+        for head, _, tail, begin, end in quads:
+            if head == 0 or tail == 0:
+                expected.update(stamps(begin, end))
+        assert entry(dic, 0) == expected == Counter({5: 2, 7: 1})
 
 
 class TestSimilarity:
@@ -91,67 +121,37 @@ class TestSimilarity:
 
 
 def random_dict(rng, n, max_stamps=6, vocab=10):
-    return TimeDictionary(
-        [Counter(rng.integers(1, vocab + 1, size=rng.integers(0, max_stamps)).tolist()) for _ in range(n)]
-    )
+    return [
+        Counter(rng.integers(1, vocab + 1, size=rng.integers(0, max_stamps)).tolist()) for _ in range(n)
+    ]
 
 
 class TestMatrix:
     def test_identical_sides_have_unit_diagonal(self):
         rng = np.random.default_rng(0)
         dic = random_dict(rng, 8)
-        sim = build_time_similarity_matrix(dic, dic)
-        nonempty = [i for i, c in enumerate(dic.entries) if c]
+        sim = build_time_similarity_matrix(counts(dic), counts(dic))
+        nonempty = [i for i, c in enumerate(dic) if c]
         assert all(sim.dense[i, i] == 1.0 for i in nonempty)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(1)
-        d1, d2 = random_dict(rng, 10), random_dict(rng, 10)
-        sim = build_time_similarity_matrix(d1, d2)
-        for i in range(10):
-            for j in range(10):
-                assert sim.dense[i, j] == pytest.approx(
-                    time_similarity(d1.entries[i], d2.entries[j]), abs=1e-15
-                )
-
-    def test_sparse_equals_dense(self):
-        rng = np.random.default_rng(2)
-        d1, d2 = random_dict(rng, 30), random_dict(rng, 25)
-        dense = build_time_similarity_matrix(d1, d2).dense
-        sparse = build_time_similarity_matrix(d1, d2, sparse=True).dense
-        assert np.array_equal(dense, sparse)
-
-    def test_block_size_irrelevant(self):
-        rng = np.random.default_rng(3)
-        d1, d2 = random_dict(rng, 17), random_dict(rng, 9)
-        a = build_time_similarity_matrix(d1, d2, block_size=4).dense
-        b = build_time_similarity_matrix(d1, d2, block_size=1000).dense
-        assert np.array_equal(a, b)
-
-    def test_topk_keeps_diagonal_on_identical_sides(self):
-        rng = np.random.default_rng(4)
-        dic = random_dict(rng, 6, max_stamps=5)
-        for c in dic.entries:
-            c.update([1])  # make every dictionary nonempty
-        sim = build_time_similarity_matrix(dic, dic, top_k=1)
-        s = sim.dense
-        for i in range(6):
-            assert s[i, i] > 0
-            others = np.delete(s[i], i)
-            # a row may legitimately keep a tied earlier column instead
-            if np.count_nonzero(s[i]) == 1 and s[i, i] == 1.0:
-                assert np.all(others == 0)
-            assert np.count_nonzero(s[i]) <= 1
-
-    def test_topk_tie_breaks_toward_smaller_index(self):
-        d1 = TimeDictionary([Counter({1: 1})])
-        d2 = TimeDictionary([Counter({1: 1}), Counter({1: 1})])
-        sim = build_time_similarity_matrix(d1, d2, top_k=1)
-        assert sim.dense[0].tolist() == [1.0, 0.0]
-
-    def test_restricted_id_pools(self):
-        rng = np.random.default_rng(5)
-        d1, d2 = random_dict(rng, 10), random_dict(rng, 10)
-        full = build_time_similarity_matrix(d1, d2).dense
-        sub = build_time_similarity_matrix(d1, d2, source_ids=[2, 5], target_ids=[1, 3, 7])
-        assert np.array_equal(sub.dense, full[np.ix_([2, 5], [1, 3, 7])])
+        cases = [
+            (random_dict(rng, 10), random_dict(rng, 10)),
+            # multiplicities up to 5: more than one occurrence level per timestamp
+            ([Counter([5] * 5), Counter([5, 5, 2]), Counter()],
+             [Counter([5] * 3), Counter([2, 5, 5, 5, 5, 5]), Counter([9])]),
+            # a side with no timestamped facts at all
+            (random_dict(rng, 4), [Counter()] * 3),
+        ]
+        for d1, d2 in cases:
+            sim = build_time_similarity_matrix(counts(d1), counts(d2))
+            assert sp.isspmatrix_csr(sim.scores)
+            for i in range(len(d1)):
+                for j in range(len(d2)):
+                    assert sim.dense[i, j] == pytest.approx(
+                        time_similarity(d1[i], d2[j]), abs=1e-15
+                    )
+        multi = build_time_similarity_matrix(counts(cases[1][0]), counts(cases[1][1]))
+        assert multi.dense[0, 0] == 0.75
+        assert sim.scores.nnz == 0 and len(generate_seeds(sim)) == 0

@@ -9,7 +9,7 @@ from tkgalign.encoder import (
     init_embeddings,
     make_dropout_mask,
 )
-from tkgalign.kg import AlignmentPairSet, Quadruple, TemporalKG, TimeAnnotation, union_graph
+from tkgalign.kg import AlignmentPairSet, TemporalKG, union_graph
 from tkgalign.trainer import (
     OptimizerState,
     TrainConfig,
@@ -25,7 +25,11 @@ from tkgalign.trainer import (
 
 
 def P(t):
-    return TimeAnnotation.point(t)
+    return (t, t)
+
+
+def Quadruple(head, relation, tail, time):
+    return [head, relation, tail, *time]
 
 
 def random_instance(seed, layers=2, dropout=False, pairs=None):
