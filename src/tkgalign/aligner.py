@@ -1,7 +1,11 @@
 """Alignment prediction: cosine embedding similarity, mixing with temporal
 similarity, hubness-corrected rescaling (CSLS), greedy decoding, and the
 bootstrapped iterative loop that grows the training pool with mutually
-nearest pseudo pairs."""
+nearest pseudo pairs.
+
+Every score stage is read a block of source rows at a time (`row_blocks`),
+and each consumer reduces the blocks as they come, so no stage holds a
+pool x pool matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,7 +15,7 @@ import numpy as np
 
 from .encoder import EmbeddingState, EncoderConfig, forward
 from .kg import AlignmentPairSet, TemporalKG, union_graph
-from .timesim import SimilarityMatrix
+from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
 from .trainer import TrainConfig, train_on_union
 
 
@@ -40,17 +44,17 @@ def embedding_similarity(
     global2: np.ndarray,
     source_ids: Sequence[int],
     target_ids: Sequence[int],
-) -> SimilarityMatrix:
+) -> BlockedScores:
     """Cosine similarity between selected rows of the two graphs' embedding
     matrices. Zero-norm rows yield all-zero similarities."""
     src = np.asarray(source_ids, dtype=np.int64)
     tgt = np.asarray(target_ids, dtype=np.int64)
     a = _normalize_rows(np.asarray(global1, dtype=np.float64)[src])
     b = _normalize_rows(np.asarray(global2, dtype=np.float64)[tgt])
-    return SimilarityMatrix(source_ids=src, target_ids=tgt, scores=a @ b.T, kind="embedding")
+    return BlockedScores(src, tgt, lambda start, stop: a[start:stop] @ b.T, "embedding")
 
 
-def combine(emb: SimilarityMatrix, time: SimilarityMatrix, alpha: float) -> SimilarityMatrix:
+def combine(emb: ScoreRows, time: ScoreRows, alpha: float) -> BlockedScores:
     """Entry-wise (1-alpha)*embedding + alpha*time. The endpoints alpha=0 and
     alpha=1 are exact pass-throughs of the respective input."""
     if emb.shape != time.shape:
@@ -61,61 +65,109 @@ def combine(emb: SimilarityMatrix, time: SimilarityMatrix, alpha: float) -> Simi
     ):
         raise ValueError("id orderings of the similarity matrices differ")
     if alpha == 0.0:
-        scores = emb.dense.copy()
+        rows = emb.rows
     elif alpha == 1.0:
-        scores = time.dense.copy()
+        rows = time.rows
     else:
-        scores = (1.0 - alpha) * emb.dense + alpha * time.dense
-    return SimilarityMatrix(emb.source_ids, emb.target_ids, scores, kind="combined")
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            mixed = emb.rows(start, stop)
+            mixed *= 1.0 - alpha
+            weighted = time.rows(start, stop)
+            weighted *= alpha
+            mixed += weighted
+            return mixed
+
+    return BlockedScores(emb.source_ids, emb.target_ids, rows, "combined")
 
 
-def csls_rescale(sim: SimilarityMatrix, k: int) -> SimilarityMatrix:
+def csls_rescale(sim: ScoreRows, k: int) -> BlockedScores:
     """Cross-domain local scaling: score(i,j) <- 2*s(i,j) - r_src(i) - r_tgt(j)
     with r_src(i) the mean of i's k best scores over targets and r_tgt(j) the
-    mean of j's k best over sources. k is clamped to the pool size."""
-    s = sim.dense
-    k_row = min(k, s.shape[1])
-    k_col = min(k, s.shape[0])
-    r_src = np.partition(s, s.shape[1] - k_row, axis=1)[:, s.shape[1] - k_row :].mean(axis=1)
-    r_tgt = np.partition(s, s.shape[0] - k_col, axis=0)[s.shape[0] - k_col :, :].mean(axis=0)
-    rescaled = 2.0 * s - r_src[:, None] - r_tgt[None, :]
-    return SimilarityMatrix(sim.source_ids, sim.target_ids, rescaled, kind=sim.kind)
+    mean of j's k best over sources. k is clamped to the pool size.
+
+    One pass over the row blocks finds r_src per block and r_tgt from each
+    column's k best, merged block by block; the rescaled rows are computed
+    again from `sim` whenever they are read."""
+    n_src, n_tgt = sim.shape
+    k_row = min(k, n_tgt)
+    k_col = min(k, n_src)
+    r_src = np.empty(n_src)
+    col_top = np.full((n_tgt, k_col), -np.inf)  # each column's k best so far
+    for start, s in sim.row_blocks():
+        # a row per target column: its k best so far, then this block's scores
+        merged = np.hstack([col_top, s.T])
+        merged.partition(len(s), axis=1)
+        col_top = merged[:, len(s) :].copy()
+        s.partition(n_tgt - k_row, axis=1)  # the block is ours; its columns are used up
+        r_src[start : start + len(s)] = s[:, n_tgt - k_row :].mean(axis=1)
+    r_tgt = col_top.mean(axis=1)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        s = sim.rows(start, stop)
+        s *= 2.0
+        s -= r_src[start:stop, None]
+        s -= r_tgt
+        return s
+
+    return BlockedScores(sim.source_ids, sim.target_ids, rows, sim.kind)
 
 
-def predict(sim: SimilarityMatrix) -> AlignmentPairSet:
+def predict(sim: ScoreRows) -> AlignmentPairSet:
     """Row-wise argmax decoding; ties break toward the smaller target index."""
-    s = sim.dense
-    best = np.argmax(s, axis=1)
-    pairs = [
-        (int(sim.source_ids[i]), int(sim.target_ids[best[i]])) for i in range(s.shape[0])
-    ]
-    scores = [float(s[i, best[i]]) for i in range(s.shape[0])]
-    return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores)
+    best = np.empty(sim.shape[0], dtype=np.int64)
+    scores = np.empty(sim.shape[0])
+    for start, s in sim.row_blocks():
+        j = np.argmax(s, axis=1)
+        best[start : start + len(s)] = j
+        scores[start : start + len(s)] = s[np.arange(len(s)), j]
+    pairs = zip(np.asarray(sim.source_ids).tolist(), np.asarray(sim.target_ids)[best].tolist())
+    return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores.tolist())
 
 
-def mutual_nearest_pairs(sim: SimilarityMatrix) -> AlignmentPairSet:
+def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     """Pairs (i, j) where j is the unique argmax of row i and i the unique
-    argmax of column j. The result is a partial matching."""
-    s = sim.dense
-    if s.size == 0:
+    argmax of column j. The result is a partial matching.
+
+    Rows are settled block by block; each column keeps its running maximum,
+    the first row that reaches it and how many rows do."""
+    n_src, n_tgt = sim.shape
+    if n_src == 0 or n_tgt == 0:
         return AlignmentPairSet.from_pairs([], provenance="pseudo")
-    row_best = np.argmax(s, axis=1)
-    col_best = np.argmax(s, axis=0)
-    row_unique = (s == s.max(axis=1, keepdims=True)).sum(axis=1) == 1
-    col_unique = (s == s.max(axis=0, keepdims=True)).sum(axis=0) == 1
-    pairs, scores = [], []
-    for i, j in enumerate(row_best):
-        if row_unique[i] and col_unique[j] and col_best[j] == i:
-            pairs.append((int(sim.source_ids[i]), int(sim.target_ids[j])))
-            scores.append(float(s[i, j]))
-    return AlignmentPairSet.from_pairs(pairs, provenance="pseudo", scores=scores)
+    row_best = np.empty(n_src, dtype=np.int64)
+    row_max = np.empty(n_src)
+    row_unique = np.empty(n_src, dtype=bool)
+    col_max = np.full(n_tgt, -np.inf)
+    col_best = np.zeros(n_tgt, dtype=np.int64)
+    col_ties = np.zeros(n_tgt, dtype=np.int64)
+    for start, s in sim.row_blocks():
+        rows = slice(start, start + len(s))
+        row_best[rows] = np.argmax(s, axis=1)
+        row_max[rows] = s[np.arange(len(s)), row_best[rows]]
+        row_unique[rows] = np.count_nonzero(s == row_max[rows, None], axis=1) == 1
+        block_max = s.max(axis=0)
+        at_max = s == block_max
+        block_ties = np.count_nonzero(at_max, axis=0)
+        block_best = np.argmax(at_max, axis=0)  # the first row at the maximum
+        same = block_max == col_max
+        col_ties[same] += block_ties[same]
+        higher = block_max > col_max
+        col_max[higher] = block_max[higher]
+        col_best[higher] = start + block_best[higher]
+        col_ties[higher] = block_ties[higher]
+    i = np.flatnonzero(row_unique)
+    j = row_best[i]
+    keep = (col_ties[j] == 1) & (col_best[j] == i)
+    i, j = i[keep], j[keep]
+    pairs = zip(np.asarray(sim.source_ids)[i].tolist(), np.asarray(sim.target_ids)[j].tolist())
+    return AlignmentPairSet.from_pairs(pairs, provenance="pseudo", scores=row_max[i].tolist())
 
 
 @dataclass
 class IterationResult:
     state: EmbeddingState
     predictions: AlignmentPairSet
-    similarity: SimilarityMatrix | None
+    similarity: BlockedScores | None  # the final CSLS scores, recomputed when read
     report: list[tuple[int, int, int]]  # (iteration, pseudo_pairs_added, train_pool_size)
     losses: list[float] = field(default_factory=list)
 
@@ -129,12 +181,17 @@ def _scored_similarity(
     time_matrix: SimilarityMatrix,
     source_ids: np.ndarray,
     target_ids: np.ndarray,
-) -> SimilarityMatrix:
+) -> BlockedScores:
     """Combined + CSLS-rescaled similarity restricted to the given pools."""
     g = forward(state, union_kg, enc_config)
     emb = embedding_similarity(g[:n1], g[n1:], source_ids, target_ids)
     mixed = combine(emb, time_matrix.submatrix(source_ids, target_ids), align_config.alpha)
     return csls_rescale(mixed, align_config.csls_k)
+
+
+def _outside(n: int, used) -> np.ndarray:
+    """Ascending ids in range(n) that are not in `used`."""
+    return np.setdiff1d(np.arange(n, dtype=np.int64), np.asarray(used, dtype=np.int64))
 
 
 def iterate(
@@ -157,7 +214,9 @@ def iterate(
     over the entities outside the training pool.
 
     `time_matrix` must cover all entities of both graphs (rows = G1 ids,
-    columns = G2 ids).
+    columns = G2 ids). Raises FloatingPointError when training leaves a
+    non-finite value in an embedding table, which would otherwise decide
+    argmax ties by its position.
     """
     if len(seeds) == 0:
         raise ValueError("iteration needs seeds (gold or generated)")
@@ -175,12 +234,13 @@ def iterate(
         losses += train_on_union(
             state, union, (n1, kg2.entity_count), pool, enc_config, train_config, rng
         )
-        used_src = set(pool.sources())
-        used_tgt = set(pool.targets())
-        rest_src = np.array([e for e in range(n1) if e not in used_src], dtype=np.int64)
-        rest_tgt = np.array(
-            [e for e in range(kg2.entity_count) if e not in used_tgt], dtype=np.int64
-        )
+        for name, table in (("entity", state.entity_table), ("relation", state.relation_table)):
+            if not np.isfinite(table).all():
+                raise FloatingPointError(
+                    f"iteration {it}: the {name} embedding table holds a non-finite value"
+                )
+        rest_src = _outside(n1, pool.sources())
+        rest_tgt = _outside(kg2.entity_count, pool.targets())
         added = 0
         if len(rest_src) and len(rest_tgt):
             sim = _scored_similarity(
@@ -193,15 +253,12 @@ def iterate(
         report.append((it, added, len(pool)))
 
     if references is not None and len(references):
-        pred_src = np.array(sorted(set(references.sources())), dtype=np.int64)
-        pred_tgt = np.array(sorted(set(references.targets())), dtype=np.int64)
+        pred_src = np.unique(np.asarray(references.sources(), dtype=np.int64))
+        pred_tgt = np.unique(np.asarray(references.targets(), dtype=np.int64))
     else:
-        gold_src = {s for s, lab in zip(pool.sources(), pool.provenance) if lab != "pseudo"}
-        gold_tgt = {t for t, lab in zip(pool.targets(), pool.provenance) if lab != "pseudo"}
-        pred_src = np.array([e for e in range(n1) if e not in gold_src], dtype=np.int64)
-        pred_tgt = np.array(
-            [e for e in range(kg2.entity_count) if e not in gold_tgt], dtype=np.int64
-        )
+        gold = np.array([lab != "pseudo" for lab in pool.provenance], dtype=bool)
+        pred_src = _outside(n1, np.asarray(pool.sources(), dtype=np.int64)[gold])
+        pred_tgt = _outside(kg2.entity_count, np.asarray(pool.targets(), dtype=np.int64)[gold])
 
     similarity = None
     predictions = AlignmentPairSet.from_pairs([], provenance="prediction")

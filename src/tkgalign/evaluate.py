@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .kg import AlignmentPairSet
-from .timesim import SimilarityMatrix
+from .timesim import ScoreRows
 
 
 def rank_of_truth(sim_row: np.ndarray, truth_index: int) -> int:
@@ -45,22 +45,44 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _ranks(sim: SimilarityMatrix, references: AlignmentPairSet) -> list[int]:
-    s = sim.dense
+def _ranks(sim: ScoreRows, references: AlignmentPairSet, bidirectional: bool) -> np.ndarray:
+    """`rank_of_truth` of every reference in its row, in reference order;
+    with `bidirectional`, followed by each one's rank in its column.
+
+    With t the truth's score, 1 + #(> t) + (#(== t) - 1) is the count of
+    scores >= t. One pass over the row blocks ranks each reference in its
+    row; a second pass counts down each truth's column."""
     src_pos = {int(e): i for i, e in enumerate(sim.source_ids)}
     tgt_pos = {int(e): j for j, e in enumerate(sim.target_ids)}
-    ranks = []
+    rows, cols = [], []
     for a, b in references.pairs:
         if a not in src_pos:
             raise ValueError(f"reference source {a} missing from similarity rows")
         if b not in tgt_pos:
             raise ValueError(f"reference target {b} missing from candidate pool")
-        ranks.append(rank_of_truth(s[src_pos[a]], tgt_pos[b]))
-    return ranks
+        rows.append(src_pos[a])
+        cols.append(tgt_pos[b])
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    truth = np.empty(len(rows))
+    ranks = np.empty(len(rows), dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    for start, s in sim.row_blocks():
+        lo, hi = np.searchsorted(sorted_rows, [start, start + len(s)])
+        mine = order[lo:hi]
+        scored = s[rows[mine] - start]
+        truth[mine] = scored[np.arange(len(mine)), cols[mine]]
+        ranks[mine] = (scored >= truth[mine, None]).sum(axis=1)
+    if not bidirectional:
+        return ranks
+    back = np.zeros(len(rows), dtype=np.int64)
+    for _, s in sim.row_blocks():
+        back += (s[:, cols] >= truth[None, :]).sum(axis=0)
+    return np.concatenate([ranks, back])
 
 
 def evaluate(
-    sim: SimilarityMatrix,
+    sim: ScoreRows,
     references: AlignmentPairSet,
     ks: Sequence[int] = (1, 10),
     bidirectional: bool = False,
@@ -70,12 +92,7 @@ def evaluate(
     Default protocol ranks source entities against the target candidate pool;
     with `bidirectional` the metrics are averaged with the transposed
     direction."""
-    ranks = _ranks(sim, references)
-    if bidirectional:
-        flipped = SimilarityMatrix(sim.target_ids, sim.source_ids, sim.dense.T, sim.kind)
-        rev_refs = AlignmentPairSet.from_pairs([(b, a) for a, b in references.pairs])
-        ranks = ranks + _ranks(flipped, rev_refs)
-    arr = np.array(ranks, dtype=np.float64)
+    arr = _ranks(sim, references, bidirectional).astype(np.float64)
     hits = {int(k): float((arr <= k).mean()) for k in ks}
     return EvalReport(
         hits_at=hits,

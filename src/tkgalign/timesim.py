@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,9 +48,47 @@ def time_similarity(dic_i: Counter | Iterable[int], dic_j: Counter | Iterable[in
     return 2.0 * c / (m + n)
 
 
+# bytes of one dense float64 block of score rows: a pass over a score matrix
+# holds a few blocks of this size, never the whole matrix
+_BLOCK_BYTES = 16 << 20
+
+
+class ScoreRows:
+    """Scores between ordered source and target entity id lists, read a
+    dense block of rows at a time: `rows(start, stop)` returns rows
+    [start, stop) as a new float64 array that the caller owns."""
+
+    source_ids: np.ndarray
+    target_ids: np.ndarray
+    kind: str
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.source_ids), len(self.target_ids))
+
+    def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, rows [start, start + len(block))) over the whole matrix,
+        each block at most _BLOCK_BYTES (and at least one row)."""
+        n_src, n_tgt = self.shape
+        step = max(1, _BLOCK_BYTES // (8 * max(n_tgt, 1)))
+        for start in range(0, n_src, step):
+            yield start, self.rows(start, min(start + step, n_src))
+
+    @property
+    def dense(self) -> np.ndarray:
+        out = np.empty(self.shape)
+        for start, block in self.row_blocks():
+            out[start : start + len(block)] = block
+        return out
+
+
+def _dense_copy(block: np.ndarray | sp.csr_matrix) -> np.ndarray:
+    return block.toarray() if sp.issparse(block) else np.array(block, dtype=np.float64)
+
+
 @dataclass
-class SimilarityMatrix:
-    """Scores between ordered source and target entity id lists.
+class SimilarityMatrix(ScoreRows):
+    """Stored scores between ordered source and target entity id lists.
 
     `scores` is either a dense ndarray or a scipy csr matrix (absent sparse
     entries are exactly 0). kind is one of {time, embedding, combined}.
@@ -61,24 +99,41 @@ class SimilarityMatrix:
     scores: np.ndarray | sp.csr_matrix
     kind: str
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return _dense_copy(self.scores[start:stop])
+
     @property
     def dense(self) -> np.ndarray:
         if sp.issparse(self.scores):
-            return np.asarray(self.scores.todense())
+            return self.scores.toarray()
         return self.scores
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.source_ids), len(self.target_ids))
+    def submatrix(self, row_positions: np.ndarray, col_positions: np.ndarray) -> BlockedScores:
+        """The rows and columns at the given positions, gathered a block of
+        rows at a time rather than copied whole."""
+        row_positions = np.asarray(row_positions)
+        col_positions = np.asarray(col_positions)
 
-    def submatrix(self, row_positions: np.ndarray, col_positions: np.ndarray) -> "SimilarityMatrix":
-        sub = self.scores[np.asarray(row_positions)][:, np.asarray(col_positions)]
-        return SimilarityMatrix(
+        def rows(start: int, stop: int) -> np.ndarray:
+            return _dense_copy(self.scores[row_positions[start:stop]][:, col_positions])
+
+        return BlockedScores(
             source_ids=np.asarray(self.source_ids)[row_positions],
             target_ids=np.asarray(self.target_ids)[col_positions],
-            scores=sub,
+            rows=rows,
             kind=self.kind,
         )
+
+
+@dataclass
+class BlockedScores(ScoreRows):
+    """Scores computed a block of rows at a time by `rows(start, stop)` and
+    never held whole."""
+
+    source_ids: np.ndarray
+    target_ids: np.ndarray
+    rows: Callable[[int, int], np.ndarray]
+    kind: str
 
 
 # rows of the time matrix whose scores are finished per step, so the

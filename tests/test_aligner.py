@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from tkgalign import timesim
 from tkgalign.aligner import (
     AlignConfig,
     combine,
@@ -11,7 +15,7 @@ from tkgalign.aligner import (
     predict,
 )
 from tkgalign.encoder import EncoderConfig, init_embeddings
-from tkgalign.evaluate import evaluate
+from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
@@ -27,6 +31,52 @@ def matrix(scores, kind="combined"):
         scores=scores,
         kind=kind,
     )
+
+
+def use_block_rows(monkeypatch, rows, n_cols):
+    """Make every row block hold `rows` rows of an n_cols-wide matrix
+    (None: the default, which holds a small pool whole)."""
+    if rows is not None:
+        monkeypatch.setattr(timesim, "_BLOCK_BYTES", 8 * n_cols * rows)
+
+
+# Dense references: the whole pool x pool matrix at once.
+
+def dense_combine(e, t, alpha):
+    if alpha == 0.0:
+        return e.copy()
+    if alpha == 1.0:
+        return t.copy()
+    return (1.0 - alpha) * e + alpha * t
+
+
+def dense_csls(s, k):
+    k_row = min(k, s.shape[1])
+    k_col = min(k, s.shape[0])
+    r_src = np.partition(s, s.shape[1] - k_row, axis=1)[:, s.shape[1] - k_row :].mean(axis=1)
+    r_tgt = np.partition(s, s.shape[0] - k_col, axis=0)[s.shape[0] - k_col :, :].mean(axis=0)
+    return 2.0 * s - r_src[:, None] - r_tgt[None, :]
+
+
+def dense_predict(s, source_ids, target_ids):
+    best = np.argmax(s, axis=1)
+    pairs = [(int(source_ids[i]), int(target_ids[best[i]])) for i in range(s.shape[0])]
+    return pairs, [float(s[i, best[i]]) for i in range(s.shape[0])]
+
+
+def dense_mutual(s, source_ids, target_ids):
+    if s.size == 0:
+        return [], []
+    row_best = np.argmax(s, axis=1)
+    col_best = np.argmax(s, axis=0)
+    row_unique = (s == s.max(axis=1, keepdims=True)).sum(axis=1) == 1
+    col_unique = (s == s.max(axis=0, keepdims=True)).sum(axis=0) == 1
+    pairs, scores = [], []
+    for i, j in enumerate(row_best):
+        if row_unique[i] and col_unique[j] and col_best[j] == i:
+            pairs.append((int(source_ids[i]), int(target_ids[j])))
+            scores.append(float(s[i, j]))
+    return pairs, scores
 
 
 def naive_csls(s, k):
@@ -172,6 +222,128 @@ class TestMutualNearest:
         assert len({j for _, j in pairs}) == len(pairs)
 
 
+def random_pool(shape, seed):
+    """Embeddings (with a zero-norm row in the pool), a CSR time matrix over
+    more entities than the pool, and shuffled pool ids. Time scores are
+    multiples of 1/8, so their sums are exact in any order and an alpha=1
+    pool keeps its ties."""
+    rng = np.random.default_rng(seed)
+    n_src, n_tgt = shape
+    g1 = rng.normal(size=(n_src + 3, 6))
+    g2 = rng.normal(size=(n_tgt + 2, 6))
+    src = rng.permutation(n_src + 3)[:n_src]
+    tgt = rng.permutation(n_tgt + 2)[:n_tgt]
+    g1[src[1]] = 0.0
+    t = sp.random(n_src + 3, n_tgt + 2, density=0.3, format="csr", random_state=seed)
+    t.data = rng.integers(1, 9, size=t.nnz) / 8.0
+    full = SimilarityMatrix(np.arange(n_src + 3), np.arange(n_tgt + 2), t, "time")
+    return g1, g2, src, tgt, full.submatrix(src, tgt)
+
+
+class TestBlockedScoring:
+    """The row-blocked stages against the dense references: scores within
+    1e-12, identical predictions, pseudo pairs and ranks, whatever the block
+    size."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("k", [1, 4, 10, 100])
+    @pytest.mark.parametrize("shape", [(13, 17), (17, 13)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_pipeline_matches_dense_oracle(self, monkeypatch, block, k, shape, alpha):
+        g1, g2, src, tgt, tim = random_pool(shape, seed=shape[0] + k)
+        use_block_rows(monkeypatch, block, shape[1])
+        emb = embedding_similarity(g1, g2, src, tgt)
+        sim = csls_rescale(combine(emb, tim, alpha), k)
+
+        a = g1[src] / np.maximum(np.linalg.norm(g1[src], axis=1, keepdims=True), 1e-300)
+        b = g2[tgt] / np.linalg.norm(g2[tgt], axis=1, keepdims=True)
+        expected = dense_csls(dense_combine(a @ b.T, tim.dense, alpha), k)
+        assert sim.shape == shape
+        assert np.allclose(sim.dense, expected, atol=1e-12, rtol=0)
+
+        preds = predict(sim)
+        pairs, scores = dense_predict(expected, src, tgt)
+        assert preds.pairs == pairs
+        assert np.allclose(preds.scores, scores, atol=1e-12, rtol=0)
+
+        pseudo = mutual_nearest_pairs(sim)
+        pairs, scores = dense_mutual(expected, src, tgt)
+        assert pseudo.pairs == pairs
+        assert np.allclose(pseudo.scores, scores, atol=1e-12, rtol=0)
+
+        refs = AlignmentPairSet.from_pairs(list(zip(src[::2].tolist(), tgt[::2].tolist())))
+        ranks = [rank_of_truth(expected[i], i) for i in range(0, min(shape), 2)]
+        back = [rank_of_truth(expected[:, j], j) for j in range(0, min(shape), 2)]
+        assert _ranks(sim, refs, False).tolist() == ranks
+        assert _ranks(sim, refs, True).tolist() == ranks + back
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("k", [1, 4, 10, 100])
+    @pytest.mark.parametrize("shape", [(11, 9), (9, 11)])
+    def test_ties_match_dense_oracle(self, monkeypatch, block, k, shape):
+        # small integers: ties in every row and column, straddling the block
+        # boundaries, and CSLS means that are exact in any summation order
+        s = np.random.default_rng(shape[0] * k).integers(0, 3, size=shape).astype(float)
+        use_block_rows(monkeypatch, block, shape[1])
+        sim = csls_rescale(matrix(s), k)
+        expected = dense_csls(s, k)
+        ids = (np.arange(shape[0]), np.arange(shape[1]))
+        assert np.array_equal(sim.dense, expected)
+        for blocked, dense in ((matrix(s), s), (sim, expected)):
+            assert predict(blocked).pairs == dense_predict(dense, *ids)[0]
+            assert mutual_nearest_pairs(blocked).pairs == dense_mutual(dense, *ids)[0]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_column_tie_across_a_block_boundary(self, monkeypatch, block):
+        # column 0's maximum 0.9 sits in rows 0 and 2: never unique
+        use_block_rows(monkeypatch, block, 2)
+        s = np.array([[0.9, 0.1], [0.2, 0.3], [0.9, 0.4]])
+        assert mutual_nearest_pairs(matrix(s)).pairs == []
+        # a later block's strictly larger maximum replaces an earlier tie
+        s = np.array([[0.5, 0.1], [0.5, 0.6], [0.9, 0.2]])
+        assert mutual_nearest_pairs(matrix(s)).pairs == [(1, 1), (2, 0)]
+
+    def test_time_given_as_csr_is_read_a_block_at_a_time(self, monkeypatch):
+        t = sp.csr_matrix(np.array([[0.0, 0.5, 1.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.75]]))
+        tim = SimilarityMatrix(np.arange(3), np.arange(3), t, "time")
+        use_block_rows(monkeypatch, 2, 3)
+        assert [(start, block.tolist()) for start, block in tim.row_blocks()] == [
+            (0, [[0.0, 0.5, 1.0], [0.25, 0.0, 0.0]]),
+            (2, [[0.0, 0.0, 0.75]]),
+        ]
+        assert np.array_equal(combine(matrix(np.zeros((3, 3))), tim, 1.0).dense, t.toarray())
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_submatrix_gathers_a_block_of_rows_at_a_time(self, monkeypatch, block):
+        t = sp.random(9, 8, density=0.4, format="csr", random_state=1)
+        full = SimilarityMatrix(np.arange(9) + 10, np.arange(8) + 20, t, "time")
+        r, c = np.array([7, 0, 3, 5]), np.array([6, 1, 2])
+        use_block_rows(monkeypatch, block, len(c))
+        sub = full.submatrix(r, c)
+        assert sub.source_ids.tolist() == [17, 10, 13, 15]
+        assert sub.target_ids.tolist() == [26, 21, 22]
+        assert np.array_equal(sub.dense, t.toarray()[np.ix_(r, c)])
+
+    def test_scoring_holds_no_pool_by_pool_array(self, monkeypatch):
+        n = 2000  # one dense n x n float64 copy is 32 MB
+        monkeypatch.setattr(timesim, "_BLOCK_BYTES", 1 << 20)
+        rng = np.random.default_rng(0)
+        g1, g2 = rng.normal(size=(2, n, 16))
+        t = sp.random(n, n, density=0.01, format="csr", random_state=0)
+        tim = SimilarityMatrix(np.arange(n), np.arange(n), t, "time")
+        refs = AlignmentPairSet.from_pairs([(i, i) for i in range(n)])
+        tracemalloc.start()
+        try:
+            sim = csls_rescale(combine(embedding_similarity(g1, g2, range(n), range(n)), tim, 0.3), 10)
+            predict(sim)
+            mutual_nearest_pairs(sim)
+            evaluate(sim, refs, bidirectional=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
 @pytest.fixture(scope="module")
 def tiny_benchmark(tmp_path_factory):
     params = SynthParams(
@@ -232,3 +404,13 @@ class TestIterate:
         with pytest.raises(ValueError, match="seed"):
             iterate(state, kg1, kg2, AlignmentPairSet.from_pairs([]), enc,
                     TrainConfig(epochs=1), AlignConfig(), tm)
+
+    def test_non_finite_embedding_fails_fast(self, tiny_benchmark):
+        kg1, kg2, seeds, refs, tm = tiny_benchmark
+        enc = EncoderConfig(dim=8, layers=2, init_seed=0)
+        state = init_embeddings(enc, kg1.entity_count + kg2.entity_count,
+                                kg1.relation_count + kg2.relation_count)
+        state.entity_table[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="iteration 1"):
+            iterate(state, kg1, kg2, seeds, enc, TrainConfig(epochs=2),
+                    AlignConfig(iterations=2), tm, references=refs)

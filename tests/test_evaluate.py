@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from tkgalign.evaluate import evaluate, rank_of_truth
+from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.timesim import SimilarityMatrix
+
+from test_aligner import use_block_rows
 
 
 def matrix(scores):
@@ -14,6 +16,27 @@ def matrix(scores):
         scores=scores,
         kind="combined",
     )
+
+
+def dense_ranks(sim, references):
+    """The dense reference: `rank_of_truth` on each reference's full row."""
+    s = sim.dense
+    src_pos = {int(e): i for i, e in enumerate(sim.source_ids)}
+    tgt_pos = {int(e): j for j, e in enumerate(sim.target_ids)}
+    ranks = []
+    for a, b in references.pairs:
+        if a not in src_pos:
+            raise ValueError(f"reference source {a} missing from similarity rows")
+        if b not in tgt_pos:
+            raise ValueError(f"reference target {b} missing from candidate pool")
+        ranks.append(rank_of_truth(s[src_pos[a]], tgt_pos[b]))
+    return ranks
+
+
+def dense_bidirectional_ranks(sim, references):
+    flipped = SimilarityMatrix(sim.target_ids, sim.source_ids, sim.dense.T, sim.kind)
+    rev_refs = AlignmentPairSet.from_pairs([(b, a) for a, b in references.pairs])
+    return dense_ranks(sim, references) + dense_ranks(flipped, rev_refs)
 
 
 class TestRank:
@@ -103,3 +126,46 @@ class TestEvaluate:
         # forward ranks: 1, 2 ; backward ranks: 1, 1
         assert uni.hits_at[1] == pytest.approx(0.5)
         assert bi.hits_at[1] == pytest.approx(0.75)
+
+
+class TestBlockedRanks:
+    """Blocked ranks equal the dense `rank_of_truth` oracle, whatever the
+    block size, in both directions."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("shape", [(13, 17), (17, 13)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_matches_dense_oracle(self, monkeypatch, block, shape, ties):
+        rng = np.random.default_rng(sum(shape) + 2 * ties)
+        s = rng.integers(0, 3, size=shape).astype(float) if ties else rng.random(shape)
+        sim = SimilarityMatrix(
+            source_ids=rng.permutation(shape[0]) + 100,
+            target_ids=rng.permutation(shape[1]) + 500,
+            scores=s,
+            kind="combined",
+        )
+        pairs = {(int(rng.integers(shape[0])) + 100, int(rng.integers(shape[1])) + 500)
+                 for _ in range(20)}
+        refs = AlignmentPairSet.from_pairs(sorted(pairs, key=lambda p: -p[1]))
+        use_block_rows(monkeypatch, block, shape[1])
+        assert _ranks(sim, refs, False).tolist() == dense_ranks(sim, refs)
+        assert _ranks(sim, refs, True).tolist() == dense_bidirectional_ranks(sim, refs)
+        for bidirectional, oracle in ((False, dense_ranks), (True, dense_bidirectional_ranks)):
+            arr = np.array(oracle(sim, refs), dtype=np.float64)
+            report = evaluate(sim, refs, ks=(1, 5), bidirectional=bidirectional)
+            assert report.mrr == float((1.0 / arr).mean())
+            assert report.hits_at == {k: float((arr <= k).mean()) for k in (1, 5)}
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_column_tie_across_a_block_boundary(self, monkeypatch, block):
+        # column 0 holds 0.9 in rows 1 and 2, which sit in different blocks
+        # for block sizes 1 and 2 and in one block for 3
+        s = np.array([[0.1, 0.2], [0.9, 0.3], [0.9, 0.4], [0.5, 0.6]])
+        refs = AlignmentPairSet.from_pairs([(1, 0), (2, 0), (3, 1)])
+        use_block_rows(monkeypatch, block, 2)
+        assert _ranks(matrix(s), refs, True).tolist() == [1, 1, 1, 2, 2, 1]
+
+    def test_missing_reference_entity_any_block(self, monkeypatch):
+        use_block_rows(monkeypatch, 1, 3)
+        with pytest.raises(ValueError, match="reference source 9"):
+            evaluate(matrix(np.eye(3)), AlignmentPairSet.from_pairs([(9, 0)]))
