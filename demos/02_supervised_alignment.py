@@ -48,7 +48,7 @@ for iterations in (1, 2):
         AlignConfig(alpha=0.3, csls_k=10, iterations=iterations),
         time_matrix, references=refs,
     )
-    report = evaluate(result.similarity, refs)
+    report = evaluate(result.similarity, refs, row_ranks=result.reference_ranks)
     label = "bootstrapped" if iterations > 1 else "single round"
     print(f"\n{label}: Hits@1 = {report.hits_at[1]:.3f}, MRR = {report.mrr:.3f}")
     for it, added, pool in result.report:

@@ -55,5 +55,5 @@ result = iterate(
     AlignConfig(alpha=0.3, csls_k=10, iterations=2),
     time_matrix, references=refs,
 )
-report = evaluate(result.similarity, refs)
+report = evaluate(result.similarity, refs, row_ranks=result.reference_ranks)
 print(f"unsupervised Hits@1 = {report.hits_at[1]:.3f}, MRR = {report.mrr:.3f}")

@@ -15,6 +15,7 @@ from .aligner import (
     iterate,
     mutual_nearest_pairs,
     predict,
+    predict_and_rank,
 )
 from .encoder import (
     EmbeddingState,
@@ -25,7 +26,7 @@ from .encoder import (
     global_embedding,
     init_embeddings,
 )
-from .evaluate import EvalReport, evaluate, rank_of_truth
+from .evaluate import EvalReport, RowRanks, evaluate, rank_of_truth
 from .io import DatasetLayout, load_dataset, read_predictions, write_pairs, write_predictions
 from .kg import (
     AlignmentPairSet,

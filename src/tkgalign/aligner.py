@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import EmbeddingState, EncoderConfig, forward
+from .evaluate import RowRanks
 from .kg import AlignmentPairSet, TemporalKG, union_graph
 from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
 from .trainer import TrainConfig, train_on_union
@@ -125,6 +126,21 @@ def predict(sim: ScoreRows) -> AlignmentPairSet:
     return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores.tolist())
 
 
+def predict_and_rank(
+    sim: ScoreRows, references: AlignmentPairSet
+) -> tuple[AlignmentPairSet, RowRanks]:
+    """`predict(sim)` and each reference's row rank, from one pass over the
+    row blocks: each block is ranked as `predict` reads it."""
+    ranked = RowRanks(sim, references)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        block = sim.rows(start, stop)
+        ranked.update(start, block)
+        return block
+
+    return predict(BlockedScores(sim.source_ids, sim.target_ids, rows, sim.kind)), ranked
+
+
 def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     """Pairs (i, j) where j is the unique argmax of row i and i the unique
     argmax of column j. The result is a partial matching.
@@ -170,6 +186,7 @@ class IterationResult:
     similarity: BlockedScores | None  # the final CSLS scores, recomputed when read
     report: list[tuple[int, int, int]]  # (iteration, pseudo_pairs_added, train_pool_size)
     losses: list[float] = field(default_factory=list)
+    reference_ranks: RowRanks | None = None  # taken in the prediction pass
 
 
 def _scored_similarity(
@@ -210,7 +227,8 @@ def iterate(
     Each iteration trains for train_config.epochs on the current pool, then
     adds mutually nearest pairs among not-yet-aligned entities to the pool as
     pseudo seeds. Pseudo pairs accumulate and are never revoked. Final
-    predictions are decoded over the reference pool when given, otherwise
+    predictions are decoded over the reference pool when given, and the
+    same pass ranks each reference in its row; otherwise they are decoded
     over the entities outside the training pool.
 
     `time_matrix` must cover all entities of both graphs (rows = G1 ids,
@@ -260,14 +278,22 @@ def iterate(
         pred_src = _outside(n1, np.asarray(pool.sources(), dtype=np.int64)[gold])
         pred_tgt = _outside(kg2.entity_count, np.asarray(pool.targets(), dtype=np.int64)[gold])
 
-    similarity = None
+    similarity = ranked = None
     predictions = AlignmentPairSet.from_pairs([], provenance="prediction")
     if len(pred_src) and len(pred_tgt):
         similarity = _scored_similarity(
             state, union, n1, enc_config, align_config, time_matrix, pred_src, pred_tgt
         )
-        predictions = predict(similarity)
+        if references is not None and len(references):
+            predictions, ranked = predict_and_rank(similarity, references)
+        else:
+            predictions = predict(similarity)
 
     return IterationResult(
-        state=state, predictions=predictions, similarity=similarity, report=report, losses=losses
+        state=state,
+        predictions=predictions,
+        similarity=similarity,
+        report=report,
+        losses=losses,
+        reference_ranks=ranked,
     )

@@ -124,12 +124,13 @@ def run_alignment(
         w.writerows(result.report)
 
     report = None
-    if len(refs) and result.similarity is not None:
+    if result.reference_ranks is not None:
         report = evaluate(
             result.similarity,
             refs,
             ks=ev.get("ks", (1, 10)),
             bidirectional=ev.get("bidirectional", False),
+            row_ranks=result.reference_ranks,
         )
 
     mode = ("unsupervised " if unsupervised else "supervised ") + (

@@ -67,8 +67,10 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, int], rate: fl
     1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)  # in place: 1.0 where kept, else 0.0
+    mask *= 1.0 / (1.0 - rate)
+    return mask
 
 
 def fuse_features(state: EmbeddingState, kg: TemporalKG, config: EncoderConfig) -> np.ndarray:

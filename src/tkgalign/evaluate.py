@@ -45,40 +45,64 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _ranks(sim: ScoreRows, references: AlignmentPairSet, bidirectional: bool) -> np.ndarray:
-    """`rank_of_truth` of every reference in its row, in reference order;
-    with `bidirectional`, followed by each one's rank in its column.
+class RowRanks:
+    """`rank_of_truth` of every reference in its row, in reference order,
+    filled in as `update` is handed the row blocks of `sim`.
 
     With t the truth's score, 1 + #(> t) + (#(== t) - 1) is the count of
-    scores >= t. One pass over the row blocks ranks each reference in its
-    row; a second pass counts down each truth's column."""
-    src_pos = {int(e): i for i, e in enumerate(sim.source_ids)}
-    tgt_pos = {int(e): j for j, e in enumerate(sim.target_ids)}
-    rows, cols = [], []
-    for a, b in references.pairs:
-        if a not in src_pos:
-            raise ValueError(f"reference source {a} missing from similarity rows")
-        if b not in tgt_pos:
-            raise ValueError(f"reference target {b} missing from candidate pool")
-        rows.append(src_pos[a])
-        cols.append(tgt_pos[b])
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    truth = np.empty(len(rows))
-    ranks = np.empty(len(rows), dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
+    scores >= t, so each reference is ranked within the block that holds its
+    row. Raises ValueError when a reference entity is not in `sim`."""
+
+    def __init__(self, sim: ScoreRows, references: AlignmentPairSet) -> None:
+        src_pos = {int(e): i for i, e in enumerate(sim.source_ids)}
+        tgt_pos = {int(e): j for j, e in enumerate(sim.target_ids)}
+        self.pairs = references.pairs
+        rows, cols = [], []
+        for a, b in references.pairs:
+            if a not in src_pos:
+                raise ValueError(f"reference source {a} missing from similarity rows")
+            if b not in tgt_pos:
+                raise ValueError(f"reference target {b} missing from candidate pool")
+            rows.append(src_pos[a])
+            cols.append(tgt_pos[b])
+        self.rows = np.array(rows, dtype=np.int64)
+        self.cols = np.array(cols, dtype=np.int64)
+        self.truth = np.empty(len(rows))
+        self.ranks = np.empty(len(rows), dtype=np.int64)
+        self._order = np.argsort(self.rows, kind="stable")
+        self._sorted_rows = self.rows[self._order]
+
+    def update(self, start: int, block: np.ndarray) -> None:
+        """Rank the references whose rows are in `block`, rows [start,
+        start + len(block)) of `sim`."""
+        lo, hi = np.searchsorted(self._sorted_rows, [start, start + len(block)])
+        mine = self._order[lo:hi]
+        scored = block[self.rows[mine] - start]
+        self.truth[mine] = scored[np.arange(len(mine)), self.cols[mine]]
+        self.ranks[mine] = (scored >= self.truth[mine, None]).sum(axis=1)
+
+    def with_columns(self, sim: ScoreRows, bidirectional: bool) -> np.ndarray:
+        """The row ranks; with `bidirectional`, followed by each reference's
+        rank in its column, counted in one more pass over `sim`."""
+        if not bidirectional:
+            return self.ranks
+        back = np.zeros(len(self.rows), dtype=np.int64)
+        for _, s in sim.row_blocks():
+            back += (s[:, self.cols] >= self.truth[None, :]).sum(axis=0)
+        return np.concatenate([self.ranks, back])
+
+
+def _row_ranks(sim: ScoreRows, references: AlignmentPairSet) -> RowRanks:
+    ranked = RowRanks(sim, references)
     for start, s in sim.row_blocks():
-        lo, hi = np.searchsorted(sorted_rows, [start, start + len(s)])
-        mine = order[lo:hi]
-        scored = s[rows[mine] - start]
-        truth[mine] = scored[np.arange(len(mine)), cols[mine]]
-        ranks[mine] = (scored >= truth[mine, None]).sum(axis=1)
-    if not bidirectional:
-        return ranks
-    back = np.zeros(len(rows), dtype=np.int64)
-    for _, s in sim.row_blocks():
-        back += (s[:, cols] >= truth[None, :]).sum(axis=0)
-    return np.concatenate([ranks, back])
+        ranked.update(start, s)
+    return ranked
+
+
+def _ranks(sim: ScoreRows, references: AlignmentPairSet, bidirectional: bool) -> np.ndarray:
+    """`rank_of_truth` of every reference in its row, in reference order;
+    with `bidirectional`, followed by each one's rank in its column."""
+    return _row_ranks(sim, references).with_columns(sim, bidirectional)
 
 
 def evaluate(
@@ -86,13 +110,21 @@ def evaluate(
     references: AlignmentPairSet,
     ks: Sequence[int] = (1, 10),
     bidirectional: bool = False,
+    *,
+    row_ranks: RowRanks | None = None,
 ) -> EvalReport:
     """Hits@k and MRR of the references under the given similarity.
 
     Default protocol ranks source entities against the target candidate pool;
     with `bidirectional` the metrics are averaged with the transposed
-    direction."""
-    arr = _ranks(sim, references, bidirectional).astype(np.float64)
+    direction. `row_ranks`, the references' row ranks already taken over
+    `sim` (as `aligner.predict_and_rank` returns them), saves the pass over
+    the rows; only `bidirectional` then reads `sim`, for the column ranks."""
+    if row_ranks is None:
+        row_ranks = _row_ranks(sim, references)
+    elif row_ranks.pairs != references.pairs:
+        raise ValueError("row_ranks were taken for other references")
+    arr = row_ranks.with_columns(sim, bidirectional).astype(np.float64)
     hits = {int(k): float((arr <= k).mean()) for k in ks}
     return EvalReport(
         hits_at=hits,

@@ -158,6 +158,12 @@ def read_predictions(path: Path) -> AlignmentPairSet:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            pairs.append((int(parts[0]), int(parts[1])))
-            scores.append(float(parts[2]))
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
+            try:
+                scores.append(float(parts[2]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-float score: {exc}") from None
     return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores)

@@ -160,13 +160,14 @@ def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> Si
 
     The multiset intersection size c = sum_t min(a_t, b_t) is one sparse
     product of the two (timestamp, occurrence) set matrices. Only pairs
-    sharing a timestamp are stored; every absent entry is exactly 0.
+    sharing a timestamp are stored; every absent entry is exactly 0. The
+    columns within a row are left in the product's order, unspecified:
+    every reader goes by value, `toarray()` or fancy indexing.
     """
     a, b = sp.csr_matrix(dic1), sp.csr_matrix(dic2)
     width = max(a.shape[1], b.shape[1])
     k = int(max(a.data.max(initial=0), b.data.max(initial=0), 1))
     scores = _occurrence_sets(a, k, width) @ _occurrence_sets(b, k, width).T
-    scores.sort_indices()
     m = np.asarray(a.sum(axis=1)).ravel()
     n = np.asarray(b.sum(axis=1)).ravel()
     ptr = scores.indptr

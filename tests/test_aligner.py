@@ -13,6 +13,7 @@ from tkgalign.aligner import (
     iterate,
     mutual_nearest_pairs,
     predict,
+    predict_and_rank,
 )
 from tkgalign.encoder import EncoderConfig, init_embeddings
 from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
@@ -293,6 +294,43 @@ class TestBlockedScoring:
             assert predict(blocked).pairs == dense_predict(dense, *ids)[0]
             assert mutual_nearest_pairs(blocked).pairs == dense_mutual(dense, *ids)[0]
 
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("shape", [(11, 9), (9, 11)])
+    def test_fused_decode_matches_dense_oracle(self, monkeypatch, block, k, shape):
+        # small integers under CSLS: ties in every row and column, straddling
+        # the block boundaries, with exact scores in any summation order
+        rng = np.random.default_rng(shape[0] * k)
+        s = rng.integers(0, 3, size=shape).astype(float)
+        src, tgt = rng.permutation(shape[0]) + 100, rng.permutation(shape[1]) + 500
+        refs = AlignmentPairSet.from_pairs(sorted(
+            {(int(rng.choice(src)), int(rng.choice(tgt))) for _ in range(15)}, key=lambda p: -p[1]
+        ))
+        use_block_rows(monkeypatch, block, shape[1])
+        sim = csls_rescale(SimilarityMatrix(src, tgt, s, "combined"), k)
+        expected = dense_csls(s, k)
+
+        preds, ranked = predict_and_rank(sim, refs)
+        pairs, scores = dense_predict(expected, src, tgt)
+        assert preds.pairs == pairs and preds.scores == scores
+        row = {int(e): i for i, e in enumerate(src)}
+        col = {int(e): j for j, e in enumerate(tgt)}
+        ranks = [rank_of_truth(expected[row[a]], col[b]) for a, b in refs.pairs]
+        back = [rank_of_truth(expected[:, col[b]], row[a]) for a, b in refs.pairs]
+        assert ranked.ranks.tolist() == ranks
+        assert ranked.with_columns(sim, True).tolist() == ranks + back
+        for bidirectional in (False, True):
+            fused = evaluate(sim, refs, (1, 5), bidirectional, row_ranks=ranked)
+            alone = evaluate(sim, refs, (1, 5), bidirectional)
+            assert (fused.hits_at, fused.mrr, fused.pool_size) == (
+                alone.hits_at, alone.mrr, alone.pool_size
+            )
+
+    @pytest.mark.parametrize("pair", [(9, 0), (0, 9)])
+    def test_fused_decode_rejects_a_missing_reference(self, pair):
+        with pytest.raises(ValueError, match="9 missing"):
+            predict_and_rank(matrix(np.eye(3)), AlignmentPairSet.from_pairs([pair]))
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_column_tie_across_a_block_boundary(self, monkeypatch, block):
         # column 0's maximum 0.9 sits in rows 0 and 2: never unique
@@ -395,6 +433,11 @@ class TestIterate:
         h1 = evaluate(single.similarity, refs).hits_at[1]
         h2 = evaluate(multi.similarity, refs).hits_at[1]
         assert h2 >= h1
+
+    def test_final_ranks_come_with_the_predictions(self, tiny_benchmark):
+        result, refs = run_iterate(tiny_benchmark, iterations=2)
+        assert result.predictions.pairs == predict(result.similarity).pairs
+        assert np.array_equal(result.reference_ranks.ranks, _ranks(result.similarity, refs, False))
 
     def test_empty_seeds_rejected(self, tiny_benchmark):
         kg1, kg2, _, refs, tm = tiny_benchmark

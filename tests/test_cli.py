@@ -137,6 +137,13 @@ def test_eval_command(tmp_path, bench_dir, capsys):
     assert "hits@1" in capsys.readouterr().out
 
 
+def test_eval_command_reports_a_bad_prediction_line(tmp_path, bench_dir, capsys):
+    cfg_path, _ = write_config(tmp_path, bench_dir)
+    (tmp_path / "preds.tsv").write_text("0\t0\t0.5\n1\t1\thigh\n")
+    assert main(["eval", str(cfg_path), "--predictions", str(tmp_path / "preds.tsv")]) == 2
+    assert "preds.tsv:2: non-float score" in capsys.readouterr().err
+
+
 def test_invalid_config_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"dataset": str(tmp_path / "nope")}))

@@ -171,6 +171,13 @@ class TestForward:
         st = init_embeddings(cfg, 15, 4)
         assert np.array_equal(forward(st, kg, cfg), forward(st, kg, cfg))
 
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 0.9])
+    def test_dropout_mask_equals_the_cast_and_divide_expression(self, rate):
+        mask = make_dropout_mask(np.random.default_rng(3), (40, 12), rate)
+        keep = np.random.default_rng(3).random((40, 12)) >= rate
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, keep.astype(np.float64) / (1.0 - rate))
+
     def test_zero_rate_mask_is_identity(self):
         rng = np.random.default_rng(15)
         kg = random_kg(rng)

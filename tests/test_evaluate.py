@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from tkgalign.aligner import predict_and_rank
 from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
 from tkgalign.kg import AlignmentPairSet
-from tkgalign.timesim import SimilarityMatrix
+from tkgalign.timesim import BlockedScores, SimilarityMatrix
 
-from test_aligner import use_block_rows
+from test_aligner import dense_predict, use_block_rows
 
 
 def matrix(scores):
@@ -156,6 +157,33 @@ class TestBlockedRanks:
             assert report.mrr == float((1.0 / arr).mean())
             assert report.hits_at == {k: float((arr <= k).mean()) for k in (1, 5)}
 
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("shape", [(13, 17), (17, 13)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_fused_decode_matches_dense_oracle(self, monkeypatch, block, shape, ties):
+        rng = np.random.default_rng(sum(shape) + 2 * ties + 1)
+        s = rng.integers(0, 3, size=shape).astype(float) if ties else rng.random(shape)
+        sim = SimilarityMatrix(
+            source_ids=rng.permutation(shape[0]) + 100,
+            target_ids=rng.permutation(shape[1]) + 500,
+            scores=s,
+            kind="combined",
+        )
+        pairs = {(int(rng.integers(shape[0])) + 100, int(rng.integers(shape[1])) + 500)
+                 for _ in range(20)}
+        refs = AlignmentPairSet.from_pairs(sorted(pairs, key=lambda p: -p[1]))
+        use_block_rows(monkeypatch, block, shape[1])
+        preds, ranked = predict_and_rank(sim, refs)
+        assert (preds.pairs, preds.scores) == dense_predict(s, sim.source_ids, sim.target_ids)
+        assert ranked.ranks.tolist() == dense_ranks(sim, refs)
+        assert ranked.with_columns(sim, True).tolist() == dense_bidirectional_ranks(sim, refs)
+        for bidirectional, oracle in ((False, dense_ranks), (True, dense_bidirectional_ranks)):
+            arr = np.array(oracle(sim, refs), dtype=np.float64)
+            report = evaluate(sim, refs, ks=(1, 5), bidirectional=bidirectional,
+                              row_ranks=ranked)
+            assert report.mrr == float((1.0 / arr).mean())
+            assert report.hits_at == {k: float((arr <= k).mean()) for k in (1, 5)}
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_column_tie_across_a_block_boundary(self, monkeypatch, block):
         # column 0 holds 0.9 in rows 1 and 2, which sit in different blocks
@@ -165,7 +193,30 @@ class TestBlockedRanks:
         use_block_rows(monkeypatch, block, 2)
         assert _ranks(matrix(s), refs, True).tolist() == [1, 1, 1, 2, 2, 1]
 
+    def test_given_row_ranks_save_the_row_pass(self, monkeypatch):
+        s = np.random.default_rng(4).random((7, 5))
+        refs = AlignmentPairSet.from_pairs([(i, i % 5) for i in range(7)])
+        use_block_rows(monkeypatch, 3, 5)
+        reads = []
+
+        def rows(start, stop):
+            reads.append(start)
+            return s[start:stop].copy()
+
+        sim = BlockedScores(np.arange(7), np.arange(5), rows, "combined")
+        preds, ranked = predict_and_rank(sim, refs)
+        assert reads == [0, 3, 6]
+        for bidirectional, passes in ((False, 1), (True, 2)):
+            report = evaluate(sim, refs, bidirectional=bidirectional, row_ranks=ranked)
+            alone = evaluate(matrix(s), refs, bidirectional=bidirectional)
+            assert (report.hits_at, report.mrr) == (alone.hits_at, alone.mrr)
+            assert len(reads) == 3 * passes
+        with pytest.raises(ValueError, match="other references"):
+            evaluate(sim, AlignmentPairSet.from_pairs(refs.pairs[1:]), row_ranks=ranked)
+
     def test_missing_reference_entity_any_block(self, monkeypatch):
         use_block_rows(monkeypatch, 1, 3)
         with pytest.raises(ValueError, match="reference source 9"):
             evaluate(matrix(np.eye(3)), AlignmentPairSet.from_pairs([(9, 0)]))
+        with pytest.raises(ValueError, match="reference target 9"):
+            predict_and_rank(matrix(np.eye(3)), AlignmentPairSet.from_pairs([(0, 0), (1, 9)]))

@@ -116,3 +116,11 @@ def test_prediction_format_and_round_trip(tmp_path):
     back = read_predictions(tmp_path / "preds.tsv")
     assert back.as_set() == ps.as_set()
     assert back.scores == pytest.approx(ps.scores)
+
+
+@pytest.mark.parametrize("line, what", [("3\tx\t0.5", "non-integer id"),
+                                        ("3\t7\tnope", "non-float score")])
+def test_bad_prediction_field_reports_location(tmp_path, line, what):
+    (tmp_path / "preds.tsv").write_text(f"1\t2\t0.25\n\n{line}\n")
+    with pytest.raises(ParseError, match=rf"preds.tsv:3: {what}"):
+        read_predictions(tmp_path / "preds.tsv")

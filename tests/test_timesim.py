@@ -5,13 +5,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from tkgalign.aligner import combine, csls_rescale, predict
 from tkgalign.kg import TemporalKG
 from tkgalign.seeds import generate_seeds
 from tkgalign.timesim import (
+    SimilarityMatrix,
     build_time_dictionary,
     build_time_similarity_matrix,
     time_similarity,
 )
+
+from test_aligner import use_block_rows
 
 
 def Quadruple(head, relation, tail, time):
@@ -155,3 +159,45 @@ class TestMatrix:
         multi = build_time_similarity_matrix(counts(cases[1][0]), counts(cases[1][1]))
         assert multi.dense[0, 0] == 0.75
         assert sim.scores.nnz == 0 and len(generate_seeds(sim)) == 0
+
+
+def shuffled_rows(m, rng):
+    """CSR `m` with the stored entries of each row in a random order."""
+    data, indices = m.data.copy(), m.indices.copy()
+    for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+        perm = lo + rng.permutation(hi - lo)
+        data[lo:hi], indices[lo:hi] = m.data[perm], m.indices[perm]
+    return sp.csr_matrix((data, indices, m.indptr.copy()), shape=m.shape)
+
+
+class TestColumnOrder:
+    """The time matrix leaves each row's column order unspecified: every
+    reader gives the same result for any order."""
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_readers_ignore_the_column_order(self, monkeypatch, block):
+        rng = np.random.default_rng(7)
+        d1 = random_dict(rng, 40, max_stamps=5, vocab=30)
+        d2 = [d1[i] for i in rng.permutation(40)] + random_dict(rng, 5, vocab=30)
+        built = build_time_similarity_matrix(counts(d1), counts(d2))
+        ordered = built.scores.copy()
+        ordered.sort_indices()
+        shuffled = shuffled_rows(ordered, rng)
+        assert not shuffled.has_sorted_indices
+        a, b = (SimilarityMatrix(built.source_ids, built.target_ids, m, "time")
+                for m in (ordered, shuffled))
+
+        seeds = generate_seeds(a)
+        assert len(seeds) and generate_seeds(b).pairs == seeds.pairs
+        assert np.array_equal(a.dense, b.dense) and np.array_equal(a.dense, built.dense)
+        for start, stop in ((0, 1), (3, 17), (39, 40), (0, 40)):
+            assert np.array_equal(a.rows(start, stop), b.rows(start, stop))
+
+        r, c = rng.permutation(40)[:25], rng.permutation(45)[:20]
+        use_block_rows(monkeypatch, block, len(c))
+        sa, sb = a.submatrix(r, c), b.submatrix(r, c)
+        assert all(ia == ib and np.array_equal(xa, xb)
+                   for (ia, xa), (ib, xb) in zip(sa.row_blocks(), sb.row_blocks()))
+        emb = SimilarityMatrix(sa.source_ids, sa.target_ids, rng.random((25, 20)), "embedding")
+        pa, pb = (predict(csls_rescale(combine(emb, s, 0.3), 4)) for s in (sa, sb))
+        assert (pa.pairs, pa.scores) == (pb.pairs, pb.scores)
