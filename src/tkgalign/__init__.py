@@ -23,7 +23,6 @@ from .encoder import (
     aggregate_layer,
     forward,
     fuse_features,
-    global_embedding,
     init_embeddings,
 )
 from .evaluate import EvalReport, RowRanks, evaluate, rank_of_truth
@@ -48,11 +47,9 @@ from .trainer import (
     TrainConfig,
     TripletBatch,
     compute_gradients,
-    manhattan_distance,
     optimizer_step,
     sample_negatives,
     train,
-    triplet_loss,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

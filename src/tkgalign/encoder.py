@@ -62,44 +62,42 @@ def init_embeddings(config: EncoderConfig, entity_count: int, relation_count: in
     return EmbeddingState(table(entity_count), table(relation_count))
 
 
-def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
+def make_dropout_mask(
+    rng: np.random.Generator, shape: tuple[int, int], rate: float, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverted-scaling dropout mask: zero with probability `rate`, else
-    1 / (1 - rate)."""
+    1 / (1 - rate). With `out` (float64, of `shape`) the mask is drawn into
+    it, from the same stream as a fresh draw."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    mask = rng.random(shape)
+    mask = rng.random(shape, out=out)
     np.greater_equal(mask, rate, out=mask)  # in place: 1.0 where kept, else 0.0
     mask *= 1.0 / (1.0 - rate)
     return mask
 
 
-def fuse_features(state: EmbeddingState, kg: TemporalKG, config: EncoderConfig) -> np.ndarray:
+def fuse_features(
+    state: EmbeddingState, kg: TemporalKG, config: EncoderConfig, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Layer-1 features: [mean neighbor embedding || mean relation embedding]
-    per entity, width 2d. Entities with no incident relations get a zero
-    relational half. With ablate_relation_fusion the relational half is a
-    second copy of the structural half (width preserved)."""
-    h_ent = kg.mean_operator @ state.entity_table
+    per entity, width 2d, written into `out` when given. Entities with no
+    incident relations get a zero relational half. With
+    ablate_relation_fusion the relational half is a second copy of the
+    structural half (width preserved)."""
+    d = state.dim
+    out = np.empty((kg.entity_count, 2 * d)) if out is None else out
+    out[:, :d] = kg.mean_operator @ state.entity_table
     if config.ablate_relation_fusion:
-        h_rel = h_ent.copy()
+        out[:, d:] = out[:, :d]
     else:
-        h_rel = kg.relation_operator @ state.relation_table
-    return np.hstack([h_ent, h_rel])
+        out[:, d:] = kg.relation_operator @ state.relation_table
+    return out
 
 
-def aggregate_layer(prev: np.ndarray, kg: TemporalKG) -> np.ndarray:
+def aggregate_layer(prev: np.ndarray, kg: TemporalKG, *, out: np.ndarray | None = None) -> np.ndarray:
     """One aggregation step: rectified neighborhood mean of the previous
-    layer's rows (self included)."""
-    return np.maximum(kg.mean_operator @ prev, 0.0)
-
-
-def global_embedding(layer_outputs: list[np.ndarray], ablate_global_concat: bool = False) -> np.ndarray:
-    """Concatenate all layer outputs row-wise; with the ablation flag only
-    the last layer is returned."""
-    if not layer_outputs:
-        raise ValueError("need at least one layer output")
-    if ablate_global_concat or len(layer_outputs) == 1:
-        return layer_outputs[-1]
-    return np.hstack(layer_outputs)
+    layer's rows (self included), written into `out` when given."""
+    return np.maximum(kg.mean_operator @ prev, 0.0, out=out)
 
 
 def forward_layers(
@@ -107,16 +105,24 @@ def forward_layers(
     kg: TemporalKG,
     config: EncoderConfig,
     dropout_mask: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """All layer outputs, starting with the (optionally dropout-masked) fused
-    layer; the mask applies to the fused features only."""
-    h1 = fuse_features(state, kg, config)
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """All layer outputs side by side in one entity_count x 2*d*layers array
+    (`out` when given): layer l fills columns [2*d*l, 2*d*(l+1)), starting
+    with the (optionally dropout-masked) fused layer; the mask applies to the
+    fused features only."""
+    d = state.dim
+    width = 2 * d
+    out = np.empty((kg.entity_count, width * config.layers)) if out is None else out
+    h = fuse_features(state, kg, config, out=out[:, :width])
     if dropout_mask is not None:
-        h1 = h1 * dropout_mask
-    layers = [h1]
-    for _ in range(config.layers - 1):
-        layers.append(aggregate_layer(layers[-1], kg))
-    return layers
+        h *= dropout_mask
+    # aggregation is column-wise, so each d-wide half of a layer comes from
+    # the same half of the previous layer (smaller temporaries than a layer)
+    for c in range(width, out.shape[1], d):
+        aggregate_layer(out[:, c - width : c - width + d], kg, out=out[:, c : c + d])
+    return out
 
 
 def forward(
@@ -126,6 +132,6 @@ def forward(
     dropout_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full forward pass: entity_count x 2*d*layers matrix (or x 2d under
-    ablate_global_concat)."""
+    ablate_global_concat, the last layer's columns of `forward_layers`)."""
     layers = forward_layers(state, kg, config, dropout_mask)
-    return global_embedding(layers, config.ablate_global_concat)
+    return layers[:, -2 * state.dim :] if config.ablate_global_concat else layers

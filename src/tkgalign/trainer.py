@@ -17,10 +17,13 @@ from .encoder import (
     EmbeddingState,
     EncoderConfig,
     forward_layers,
-    global_embedding,
     make_dropout_mask,
 )
 from .kg import AlignmentPairSet, TemporalKG, union_graph
+
+
+# row block of the hinge pass over the pair differences
+_HINGE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -39,6 +42,10 @@ class TrainConfig:
             raise ValueError("margin and learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.epochs < 0 or self.negatives_per_pair < 1:
+            raise ValueError("epochs must be >= 0 and negatives_per_pair >= 1")
+        if not (0.0 <= self.optimizer_decay < 1.0 and self.optimizer_epsilon > 0):
+            raise ValueError("optimizer_decay must be in [0, 1) and optimizer_epsilon positive")
 
 
 @dataclass
@@ -51,14 +58,6 @@ class OptimizerState:
     @classmethod
     def zeros_like(cls, state: EmbeddingState) -> "OptimizerState":
         return cls(np.zeros_like(state.entity_table), np.zeros_like(state.relation_table))
-
-
-def manhattan_distance(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    return float(np.abs(u - v).sum())
 
 
 def sample_negatives(
@@ -85,14 +84,6 @@ def sample_negatives(
         r = rng.integers(n - 1, size=rows.size)
         out[rows, side] = r + (r >= out[rows, side])
     return out
-
-
-def triplet_loss(pos_dists: np.ndarray, neg_dists: np.ndarray, margin: float) -> float:
-    pos_dists = np.asarray(pos_dists, dtype=np.float64)
-    neg_dists = np.asarray(neg_dists, dtype=np.float64)
-    if pos_dists.shape != neg_dists.shape:
-        raise ValueError("length mismatch")
-    return float(np.maximum(pos_dists - neg_dists + margin, 0.0).sum())
 
 
 @dataclass
@@ -129,6 +120,8 @@ def compute_gradients(
     enc_config: EncoderConfig,
     train_config: TrainConfig,
     dropout_mask: np.ndarray | None = None,
+    *,
+    layers_out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact batch loss and its gradient with respect to both tables.
 
@@ -136,9 +129,10 @@ def compute_gradients(
     L1 distance (per-coordinate sign; 0 at exact ties), concatenation (slice
     routing), rectifier (gate on forward positivity), neighborhood means
     (transpose of the sparse mean operators), and the dropout scaling.
+    `layers_out` is `forward_layers`' output buffer, for reuse across epochs.
     """
-    layers = forward_layers(state, union_kg, enc_config, dropout_mask)
-    g = global_embedding(layers, enc_config.ablate_global_concat)
+    layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out)
+    g = layers[:, -2 * state.dim :] if enc_config.ablate_global_concat else layers
 
     # score each distinct positive pair once (`inv` maps triplets to it),
     # then every negative; row k of `pair_diff` is e(src_k) - e(tgt_k)
@@ -152,8 +146,16 @@ def compute_gradients(
         shape=(m, n),
     )
     diff = pair_diff @ g
-    buf = np.abs(diff)  # reused for the signs below
-    dist = buf.sum(axis=1)
+    # distances, then signs over the differences, in row blocks through one
+    # small scratch (np.sign in place is several times slower than into it)
+    dist = np.empty(m)
+    rows = max(1, _HINGE_BLOCK_BYTES // (8 * diff.shape[1]))
+    scratch = np.empty((min(rows, m), diff.shape[1]))
+    for start in range(0, m, rows):  # no view of diff or scratch outlives the loop
+        stop = min(start + rows, m)
+        np.abs(diff[start:stop], out=scratch[: stop - start]).sum(axis=1, out=dist[start:stop])
+        diff[start:stop] = np.sign(diff[start:stop], out=scratch[: stop - start])
+    del scratch
     slack = dist[inv] - dist[len(keys) :] + train_config.margin
     active = slack > 0
     loss = float(slack[active].sum())
@@ -164,50 +166,39 @@ def compute_gradients(
     # small integers, so the sums are exact in any order.
     weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
     incidence = pair_diff.T @ sp.diags(weight.astype(np.float64))
-    d_global = incidence @ np.sign(diff, out=buf)
+    d_global = incidence @ diff
+    del diff
 
-    # route the global gradient back to per-layer gradients
-    width = layers[0].shape[1]
-    if enc_config.ablate_global_concat:
-        d_layers = [np.zeros_like(layers[0]) for _ in layers[:-1]] + [d_global]
-    else:
-        d_layers = [d_global[:, l * width : (l + 1) * width] for l in range(len(layers))]
-
+    # backward in place, last layer first: layer l's gradient (its column
+    # slice of d_global) is gated by its forward positivity and carried
+    # through the transposed mean into layer l-1's slice, one d-wide half at
+    # a time. Under ablate_global_concat d_global holds the last layer only,
+    # and an earlier layer's gradient is the carried term alone.
+    d = state.dim
+    w = 2 * d
     op_t = union_kg.mean_operator_t
-    d_run = d_layers[-1]
-    for l in range(len(layers) - 1, 0, -1):
-        gated = d_run * (layers[l] > 0)
-        d_run = d_layers[l - 1] + op_t @ gated
+    d_run = d_global[:, -w:]
+    for l in range(enc_config.layers - 1, 0, -1):
+        d_run *= layers[:, l * w : (l + 1) * w] > 0
+        if enc_config.ablate_global_concat:
+            d_run = op_t @ d_run
+        else:
+            for c in range(l * w, (l + 1) * w, d):
+                d_global[:, c - w : c - w + d] += op_t @ d_global[:, c : c + d]
+            d_run = d_global[:, (l - 1) * w : l * w]
 
     if dropout_mask is not None:
-        d_run = d_run * dropout_mask
+        d_run *= dropout_mask
 
-    d = state.dim
     d_ent_half = d_run[:, :d]
     d_rel_half = d_run[:, d:]
     if enc_config.ablate_relation_fusion:
-        d_ent_half = d_ent_half + d_rel_half
+        d_ent_half += d_rel_half
         grad_rel = np.zeros_like(state.relation_table)
     else:
         grad_rel = union_kg.relation_operator.T @ d_rel_half
     grad_ent = op_t @ d_ent_half
     return loss, grad_ent, grad_rel
-
-
-def batch_loss(
-    state: EmbeddingState,
-    union_kg: TemporalKG,
-    batch: TripletBatch,
-    enc_config: EncoderConfig,
-    train_config: TrainConfig,
-    dropout_mask: np.ndarray | None = None,
-) -> float:
-    """Loss only, via the same forward path (finite-difference reference)."""
-    layers = forward_layers(state, union_kg, enc_config, dropout_mask)
-    g = global_embedding(layers, enc_config.ablate_global_concat)
-    d_pos = np.abs(g[batch.pos_src] - g[batch.pos_tgt]).sum(axis=1)
-    d_neg = np.abs(g[batch.neg_src] - g[batch.neg_tgt]).sum(axis=1)
-    return triplet_loss(d_pos, d_neg, train_config.margin)
 
 
 def optimizer_step(
@@ -218,14 +209,20 @@ def optimizer_step(
     config: TrainConfig,
 ) -> None:
     """RMSProp update in place: acc <- decay*acc + (1-decay)*g^2,
-    p <- p - lr * g / (sqrt(acc) + eps)."""
+    p <- p - lr * g / (sqrt(acc) + eps). The float64 gradient arrays are
+    consumed: each is overwritten with the step taken on its table."""
     decay, lr, eps = config.optimizer_decay, config.learning_rate, config.optimizer_epsilon
-    opt.acc_entity *= decay
-    opt.acc_entity += (1.0 - decay) * grad_ent**2
-    opt.acc_relation *= decay
-    opt.acc_relation += (1.0 - decay) * grad_rel**2
-    state.entity_table -= lr * grad_ent / (np.sqrt(opt.acc_entity) + eps)
-    state.relation_table -= lr * grad_rel / (np.sqrt(opt.acc_relation) + eps)
+    for table, acc, grad in ((state.entity_table, opt.acc_entity, grad_ent),
+                             (state.relation_table, opt.acc_relation, grad_rel)):
+        scratch = np.square(grad)
+        scratch *= 1.0 - decay
+        acc *= decay
+        acc += scratch
+        np.sqrt(acc, out=scratch)
+        scratch += eps
+        grad *= lr
+        grad /= scratch
+        table -= grad
 
 
 def train_on_union(
@@ -244,19 +241,18 @@ def train_on_union(
     if rng is None:
         rng = np.random.default_rng(train_config.rng_seed)
     opt = OptimizerState.zeros_like(state)
-    n1 = kg_sizes[0]
     losses: list[float] = []
-    mask_shape = (union_kg.entity_count, 2 * state.dim)
+    # one layer buffer and one mask buffer serve every epoch
+    n = union_kg.entity_count
+    layers = np.empty((n, 2 * state.dim * enc_config.layers))
+    mask = np.empty((n, 2 * state.dim)) if train_config.dropout_rate > 0 else None
     for _ in range(train_config.epochs):
-        mask = (
-            make_dropout_mask(rng, mask_shape, train_config.dropout_rate)
-            if train_config.dropout_rate > 0
-            else None
-        )
+        if mask is not None:
+            make_dropout_mask(rng, mask.shape, train_config.dropout_rate, out=mask)
         negs = sample_negatives(seeds, kg_sizes, train_config.negatives_per_pair, rng)
-        batch = TripletBatch.build(seeds, negs, entity_offset=n1)
+        batch = TripletBatch.build(seeds, negs, entity_offset=kg_sizes[0])
         loss, g_ent, g_rel = compute_gradients(
-            state, union_kg, batch, enc_config, train_config, mask
+            state, union_kg, batch, enc_config, train_config, mask, layers_out=layers
         )
         optimizer_step(state, opt, g_ent, g_rel, train_config)
         losses.append(loss)

@@ -151,6 +151,16 @@ def test_invalid_config_nonzero_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", -1), ("negatives_per_pair", 0), ("optimizer_decay", 1.5), ("optimizer_epsilon", -1.0),
+])
+def test_bad_train_value_exits_2(tmp_path, bench_dir, capsys, field, value):
+    cfg_path, _ = write_config(tmp_path, bench_dir, train={field: value})
+    assert main(["align", str(cfg_path)]) == 2
+    assert "invalid value in [train] section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_nonzero_exit(tmp_path, capsys):
     assert main(["align", str(tmp_path / "absent.yaml")]) == 2
 

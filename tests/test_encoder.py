@@ -7,7 +7,6 @@ from tkgalign.encoder import (
     forward,
     forward_layers,
     fuse_features,
-    global_embedding,
     init_embeddings,
     make_dropout_mask,
 )
@@ -33,6 +32,27 @@ def naive_structure(kg):
         relations[head].append(relation)
         relations[tail].append(relation)
     return neighbors, relations
+
+
+def global_embedding(layer_outputs, ablate_global_concat=False):
+    """Concatenate all layer outputs row-wise; with the ablation flag only
+    the last layer is returned."""
+    if not layer_outputs:
+        raise ValueError("need at least one layer output")
+    if ablate_global_concat or len(layer_outputs) == 1:
+        return layer_outputs[-1]
+    return np.hstack(layer_outputs)
+
+
+def list_forward_layers(state, kg, config, dropout_mask=None):
+    """Reference forward pass: each layer a fresh array, fused layer first."""
+    h1 = fuse_features(state, kg, config)
+    if dropout_mask is not None:
+        h1 = h1 * dropout_mask
+    layers = [h1]
+    for _ in range(config.layers - 1):
+        layers.append(aggregate_layer(layers[-1], kg))
+    return layers
 
 
 def random_kg(rng, n=15, m=4, edges=30):
@@ -177,6 +197,14 @@ class TestForward:
         keep = np.random.default_rng(3).random((40, 12)) >= rate
         assert mask.dtype == np.float64
         assert np.array_equal(mask, keep.astype(np.float64) / (1.0 - rate))
+        # drawn into a buffer: the same mask, and the generator left where a
+        # fresh draw of the same shape leaves it
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        out = np.full((40, 12), np.nan)
+        assert make_dropout_mask(rng, (40, 12), rate, out=out) is out
+        assert np.array_equal(out, mask)
+        ref.random((40, 12))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_zero_rate_mask_is_identity(self):
         rng = np.random.default_rng(15)
@@ -232,6 +260,22 @@ class TestForward:
         st = init_embeddings(full, 15, 4)
         lf = forward_layers(st, kg, full)
         la = forward_layers(st, kg, abl)
-        for a, b in zip(lf, la):
-            assert np.array_equal(a, b)
-        assert np.array_equal(forward(st, kg, abl), lf[-1])
+        assert np.array_equal(lf, la)
+        assert np.array_equal(forward(st, kg, abl), lf[:, -8:])
+
+    # every combination of 1-3 layers, dropout and the two ablations
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True)])
+    def test_layer_buffer_equals_list_oracle(self, layers, dropout, fusion, concat):
+        rng = np.random.default_rng(20 + layers)
+        kg = random_kg(rng)
+        cfg = EncoderConfig(dim=3, layers=layers, init_seed=layers,
+                            ablate_relation_fusion=fusion, ablate_global_concat=concat)
+        st = init_embeddings(cfg, 15, 4)
+        mask = make_dropout_mask(rng, (15, 6), 0.4) if dropout else None
+        expected = list_forward_layers(st, kg, cfg, mask)
+        out = np.full((15, 6 * layers), np.nan)  # stale contents must not leak
+        assert forward_layers(st, kg, cfg, mask, out=out) is out
+        assert np.array_equal(out, np.hstack(expected))
+        assert np.array_equal(forward(st, kg, cfg, mask), global_embedding(expected, concat))

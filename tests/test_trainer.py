@@ -1,27 +1,31 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import chi2
 
 from tkgalign.encoder import (
     EncoderConfig,
-    forward_layers,
-    global_embedding,
+    forward,
     init_embeddings,
     make_dropout_mask,
 )
+from tkgalign import trainer
 from tkgalign.kg import AlignmentPairSet, TemporalKG, union_graph
 from tkgalign.trainer import (
     OptimizerState,
     TrainConfig,
     TripletBatch,
-    batch_loss,
     compute_gradients,
-    manhattan_distance,
     optimizer_step,
     sample_negatives,
     train,
-    triplet_loss,
+    train_on_union,
 )
+
+from test_encoder import global_embedding, list_forward_layers
 
 
 def P(t):
@@ -70,10 +74,115 @@ def random_instance(seed, layers=2, dropout=False, pairs=None):
     return state, ukg, batch, enc, trn, mask
 
 
+def manhattan_distance(u, v):
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError("length mismatch")
+    return float(np.abs(u - v).sum())
+
+
+def triplet_loss(pos_dists, neg_dists, margin):
+    pos_dists = np.asarray(pos_dists, dtype=np.float64)
+    neg_dists = np.asarray(neg_dists, dtype=np.float64)
+    if pos_dists.shape != neg_dists.shape:
+        raise ValueError("length mismatch")
+    return float(np.maximum(pos_dists - neg_dists + margin, 0.0).sum())
+
+
+def batch_loss(state, union_kg, batch, enc_config, train_config, dropout_mask=None):
+    """Loss only, via the same forward path (finite-difference reference)."""
+    g = forward(state, union_kg, enc_config, dropout_mask)
+    d_pos = np.abs(g[batch.pos_src] - g[batch.pos_tgt]).sum(axis=1)
+    d_neg = np.abs(g[batch.neg_src] - g[batch.neg_tgt]).sum(axis=1)
+    return triplet_loss(d_pos, d_neg, train_config.margin)
+
+
+def list_oracle_gradients(state, union_kg, batch, enc_config, train_config, dropout_mask=None):
+    """Reference gradients with a fresh array per step: the layer list and its
+    concatenation, the pair differences, their absolute values and signs,
+    and a separate running gradient through the layers."""
+    layers = list_forward_layers(state, union_kg, enc_config, dropout_mask)
+    g = global_embedding(layers, enc_config.ablate_global_concat)
+
+    n = g.shape[0]
+    keys, inv = np.unique(batch.pos_src * n + batch.pos_tgt, return_inverse=True)
+    src = np.concatenate([keys // n, batch.neg_src])
+    tgt = np.concatenate([keys % n, batch.neg_tgt])
+    m = len(src)
+    pair_diff = sp.csr_matrix(
+        (np.tile([1.0, -1.0], m), np.column_stack([src, tgt]).ravel(), np.arange(0, 2 * m + 1, 2)),
+        shape=(m, n),
+    )
+    diff = pair_diff @ g
+    buf = np.abs(diff)
+    dist = buf.sum(axis=1)
+    slack = dist[inv] - dist[len(keys) :] + train_config.margin
+    active = slack > 0
+    loss = float(slack[active].sum())
+    weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
+    incidence = pair_diff.T @ sp.diags(weight.astype(np.float64))
+    d_global = incidence @ np.sign(diff, out=buf)
+
+    width = layers[0].shape[1]
+    if enc_config.ablate_global_concat:
+        d_layers = [np.zeros_like(layers[0]) for _ in layers[:-1]] + [d_global]
+    else:
+        d_layers = [d_global[:, l * width : (l + 1) * width] for l in range(len(layers))]
+    op_t = union_kg.mean_operator_t
+    d_run = d_layers[-1]
+    for l in range(len(layers) - 1, 0, -1):
+        gated = d_run * (layers[l] > 0)
+        d_run = d_layers[l - 1] + op_t @ gated
+    if dropout_mask is not None:
+        d_run = d_run * dropout_mask
+    d = state.dim
+    d_ent_half = d_run[:, :d]
+    d_rel_half = d_run[:, d:]
+    if enc_config.ablate_relation_fusion:
+        d_ent_half = d_ent_half + d_rel_half
+        grad_rel = np.zeros_like(state.relation_table)
+    else:
+        grad_rel = union_kg.relation_operator.T @ d_rel_half
+    return loss, op_t @ d_ent_half, grad_rel
+
+
+def oracle_optimizer_step(state, opt, grad_ent, grad_rel, config):
+    """Reference RMSProp step with fresh temporaries; leaves the gradients
+    untouched."""
+    decay, lr, eps = config.optimizer_decay, config.learning_rate, config.optimizer_epsilon
+    opt.acc_entity *= decay
+    opt.acc_entity += (1.0 - decay) * grad_ent**2
+    opt.acc_relation *= decay
+    opt.acc_relation += (1.0 - decay) * grad_rel**2
+    state.entity_table -= lr * grad_ent / (np.sqrt(opt.acc_entity) + eps)
+    state.relation_table -= lr * grad_rel / (np.sqrt(opt.acc_relation) + eps)
+
+
+def oracle_epochs(state, union_kg, kg_sizes, seeds, enc_config, train_config):
+    """Reference epoch loop: a fresh mask, fresh layers and fresh gradients
+    every epoch, drawn from the same generator stream as train_on_union."""
+    rng = np.random.default_rng(train_config.rng_seed)
+    opt = OptimizerState.zeros_like(state)
+    losses = []
+    for _ in range(train_config.epochs):
+        mask = (
+            make_dropout_mask(rng, (union_kg.entity_count, 2 * state.dim), train_config.dropout_rate)
+            if train_config.dropout_rate > 0
+            else None
+        )
+        negs = sample_negatives(seeds, kg_sizes, train_config.negatives_per_pair, rng)
+        batch = TripletBatch.build(seeds, negs, entity_offset=kg_sizes[0])
+        loss, ge, gr = list_oracle_gradients(state, union_kg, batch, enc_config, train_config, mask)
+        oracle_optimizer_step(state, opt, ge, gr, train_config)
+        losses.append(loss)
+    return losses
+
+
 def scatter_oracle_gradients(state, union_kg, batch, enc_config, train_config, dropout_mask=None):
     """Reference gradients: every triplet row scored on its own and its sign
     vectors scattered row by row with np.add.at."""
-    layers = forward_layers(state, union_kg, enc_config, dropout_mask)
+    layers = list_forward_layers(state, union_kg, enc_config, dropout_mask)
     g = global_embedding(layers, enc_config.ablate_global_concat)
     dp_vec = g[batch.pos_src] - g[batch.pos_tgt]
     dn_vec = g[batch.neg_src] - g[batch.neg_tgt]
@@ -299,7 +408,7 @@ class TestGradients:
 
     def test_repeated_positives_with_different_hinge_counts(self):
         state, ukg, batch, enc, _, mask = random_instance(1, 2, True)
-        g = global_embedding(forward_layers(state, ukg, enc, mask))
+        g = forward(state, ukg, enc, mask)
         n1 = int(batch.pos_tgt[0] - batch.pos_src[0])
         rng = np.random.default_rng(8)
         # two positives repeated out of order, each against random negatives
@@ -324,6 +433,46 @@ class TestGradients:
             pytest.fail("no margin gives distinct non-zero hinge counts")
         trn = TrainConfig(margin=float(margin), dropout_rate=0.3)
         assert_matches_scatter_oracle(state, ukg, batch, enc, trn, mask)
+
+    # seeds 0, 5, 10 ablate relation fusion and 0, 7, 14 the global concat
+    # hinge_rows: rows per block of the hinge pass (None: the default size,
+    # which holds every pair here)
+    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("hinge_rows", [None, 1, 3])
+    def test_in_place_epoch_equals_list_oracle(self, seed, layers, dropout, hinge_rows,
+                                               monkeypatch):
+        state, ukg, batch, enc, trn, mask = random_instance(seed, layers, dropout)
+        if hinge_rows is not None:
+            width = 2 * enc.dim * (1 if enc.ablate_global_concat else enc.layers)
+            monkeypatch.setattr(trainer, "_HINGE_BLOCK_BYTES", hinge_rows * width * 8)
+        loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask)
+        ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
+        assert loss == ref_loss
+        assert np.array_equal(ge, ref_ge)
+        assert np.array_equal(gr, ref_gr)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_reused_buffers_across_pool_sizes_equal_list_oracle(self, seed):
+        state, ukg, batch, enc, trn, _ = random_instance(seed, layers=3, dropout=True)
+        n1 = int(batch.pos_tgt[0] - batch.pos_src[0])
+        sizes = (n1, ukg.entity_count - n1)
+        # NaN-filled, so a value the pass does not write shows in the result
+        layers_out = np.full((ukg.entity_count, 2 * enc.dim * enc.layers), np.nan)
+        mask_out = np.full((ukg.entity_count, 2 * enc.dim), np.nan)
+        opt = OptimizerState.zeros_like(state)
+        rng = np.random.default_rng(seed)
+        for count in (4, 1, 3, 2):
+            pairs = AlignmentPairSet.from_pairs([(i, i) for i in range(count)])
+            batch = TripletBatch.build(pairs, sample_negatives(pairs, sizes, 3, rng), n1)
+            mask = make_dropout_mask(rng, mask_out.shape, trn.dropout_rate, out=mask_out)
+            loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask, layers_out=layers_out)
+            ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
+            assert loss == ref_loss
+            assert np.array_equal(ge, ref_ge)
+            assert np.array_equal(gr, ref_gr)
+            oracle_optimizer_step(state, opt, ref_ge, ref_gr, trn)  # the next pass sees new tables
 
     @pytest.mark.parametrize("seed,layers,dropout", [(0, 1, False), (1, 2, False), (3, 2, True)])
     def test_finite_difference_agreement(self, seed, layers, dropout):
@@ -374,6 +523,39 @@ class TestOptimizer:
         assert state.entity_table[0, 0] == pytest.approx(p, rel=1e-12)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1),
+        ("negatives_per_pair", 0),
+        ("optimizer_decay", 1.5),
+        ("optimizer_decay", 1.0),
+        ("optimizer_decay", -0.1),
+        ("optimizer_epsilon", -1.0),
+        ("optimizer_epsilon", 0.0),
+        ("optimizer_epsilon", float("nan")),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(epochs=0, negatives_per_pair=1, optimizer_decay=0.0, optimizer_epsilon=1e-300)
+
+
+def random_union(n_per_side, seed):
+    """A random graph pair of `n_per_side` entities each and its union."""
+    rng = np.random.default_rng(seed)
+    kgs = []
+    for _ in range(2):
+        facts = 4 * n_per_side
+        quads = np.column_stack([
+            rng.integers(n_per_side, size=facts), rng.integers(8, size=facts),
+            rng.integers(n_per_side, size=facts), np.ones((facts, 2), dtype=np.int64),
+        ])
+        kgs.append(TemporalKG.build(quads, n_per_side, 8))
+    return union_graph(*kgs)
+
+
 def toy_pair():
     kg1 = TemporalKG.build([Quadruple(0, 0, 1, P(1))], 2, 1)
     kg2 = TemporalKG.build([Quadruple(0, 0, 1, P(1))], 2, 1)
@@ -422,6 +604,40 @@ class TestTrain:
         state = init_embeddings(enc, 4, 2)
         _, losses = train(state, kg1, kg2, AlignmentPairSet.from_pairs([(0, 0)]), enc, cfg)
         assert min(losses) == 0.0
+
+    # seed 0 ablates both, 5 relation fusion and 7 the global concat
+    @pytest.mark.parametrize("seed,layers,dropout", [
+        (0, 2, True), (5, 3, True), (7, 3, False), (1, 1, True), (2, 2, False), (3, 3, True),
+    ])
+    def test_train_on_union_equals_oracle_epoch_loop(self, seed, layers, dropout):
+        state, ukg, batch, enc, trn, _ = random_instance(seed, layers, dropout)
+        n1 = int(batch.pos_tgt[0] - batch.pos_src[0])
+        sizes = (n1, ukg.entity_count - n1)
+        seeds = AlignmentPairSet.from_pairs([(i, i) for i in range(min(*sizes, 4))])
+        trn = dataclasses.replace(trn, epochs=5)
+        ref = state.copy()
+        losses = train_on_union(state, ukg, sizes, seeds, enc, trn)
+        assert losses == oracle_epochs(ref, ukg, sizes, seeds, enc, trn)
+        assert np.array_equal(state.entity_table, ref.entity_table)
+        assert np.array_equal(state.relation_table, ref.relation_table)
+
+    def test_epoch_peaks_a_layer_buffer_below_the_oracle(self):
+        n = 1000
+        ukg = random_union(n, seed=0)
+        enc = EncoderConfig(dim=32, layers=2, init_seed=0)
+        trn = TrainConfig(epochs=1, rng_seed=0)
+        seeds = AlignmentPairSet.from_pairs([(i, i) for i in range(300)])
+        peaks = []
+        for run in (train_on_union, oracle_epochs):
+            state = init_embeddings(enc, 2 * n, 16)
+            tracemalloc.start()
+            try:
+                run(state, ukg, (n, n), seeds, enc, trn)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        layer_buffer = 2 * n * 2 * enc.dim * enc.layers * 8
+        assert peaks[0] <= peaks[1] - layer_buffer, peaks
 
     def test_parameter_count(self):
         kg1, kg2 = toy_pair()
