@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EmbeddingState, EncoderConfig, forward
+from .encoder import EmbeddingState, EncoderConfig, check_int_fields, forward
 from .evaluate import RowRanks
 from .kg import AlignmentPairSet, TemporalKG, union_graph
 from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
@@ -27,6 +27,7 @@ class AlignConfig:
     iterations: int = 5
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.csls_k < 1 or self.iterations < 1:
@@ -122,8 +123,7 @@ def predict(sim: ScoreRows) -> AlignmentPairSet:
         j = np.argmax(s, axis=1)
         best[start : start + len(s)] = j
         scores[start : start + len(s)] = s[np.arange(len(s)), j]
-    pairs = zip(np.asarray(sim.source_ids).tolist(), np.asarray(sim.target_ids)[best].tolist())
-    return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores.tolist())
+    return AlignmentPairSet(sim.source_ids, np.asarray(sim.target_ids)[best], "prediction", scores)
 
 
 def predict_and_rank(
@@ -149,7 +149,7 @@ def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     the first row that reaches it and how many rows do."""
     n_src, n_tgt = sim.shape
     if n_src == 0 or n_tgt == 0:
-        return AlignmentPairSet.from_pairs([], provenance="pseudo")
+        return AlignmentPairSet([], [], "pseudo")
     row_best = np.empty(n_src, dtype=np.int64)
     row_max = np.empty(n_src)
     row_unique = np.empty(n_src, dtype=bool)
@@ -175,8 +175,8 @@ def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     j = row_best[i]
     keep = (col_ties[j] == 1) & (col_best[j] == i)
     i, j = i[keep], j[keep]
-    pairs = zip(np.asarray(sim.source_ids)[i].tolist(), np.asarray(sim.target_ids)[j].tolist())
-    return AlignmentPairSet.from_pairs(pairs, provenance="pseudo", scores=row_max[i].tolist())
+    src, tgt = np.asarray(sim.source_ids), np.asarray(sim.target_ids)
+    return AlignmentPairSet(src[i], tgt[j], "pseudo", row_max[i])
 
 
 @dataclass
@@ -204,11 +204,6 @@ def _scored_similarity(
     emb = embedding_similarity(g[:n1], g[n1:], source_ids, target_ids)
     mixed = combine(emb, time_matrix.submatrix(source_ids, target_ids), align_config.alpha)
     return csls_rescale(mixed, align_config.csls_k)
-
-
-def _outside(n: int, used) -> np.ndarray:
-    """Ascending ids in range(n) that are not in `used`."""
-    return np.setdiff1d(np.arange(n, dtype=np.int64), np.asarray(used, dtype=np.int64))
 
 
 def iterate(
@@ -257,8 +252,8 @@ def iterate(
                 raise FloatingPointError(
                     f"iteration {it}: the {name} embedding table holds a non-finite value"
                 )
-        rest_src = _outside(n1, pool.sources())
-        rest_tgt = _outside(kg2.entity_count, pool.targets())
+        rest_src = np.setdiff1d(np.arange(n1), pool.sources)
+        rest_tgt = np.setdiff1d(np.arange(kg2.entity_count), pool.targets)
         added = 0
         if len(rest_src) and len(rest_tgt):
             sim = _scored_similarity(
@@ -271,15 +266,15 @@ def iterate(
         report.append((it, added, len(pool)))
 
     if references is not None and len(references):
-        pred_src = np.unique(np.asarray(references.sources(), dtype=np.int64))
-        pred_tgt = np.unique(np.asarray(references.targets(), dtype=np.int64))
+        pred_src = np.unique(references.sources)
+        pred_tgt = np.unique(references.targets)
     else:
-        gold = np.array([lab != "pseudo" for lab in pool.provenance], dtype=bool)
-        pred_src = _outside(n1, np.asarray(pool.sources(), dtype=np.int64)[gold])
-        pred_tgt = _outside(kg2.entity_count, np.asarray(pool.targets(), dtype=np.int64)[gold])
+        gold = pool.provenance != "pseudo"
+        pred_src = np.setdiff1d(np.arange(n1), pool.sources[gold])
+        pred_tgt = np.setdiff1d(np.arange(kg2.entity_count), pool.targets[gold])
 
     similarity = ranked = None
-    predictions = AlignmentPairSet.from_pairs([], provenance="prediction")
+    predictions = AlignmentPairSet([], [], "prediction")
     if len(pred_src) and len(pred_tgt):
         similarity = _scored_similarity(
             state, union, n1, enc_config, align_config, time_matrix, pred_src, pred_tgt

@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +254,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _pair_keys(*sets: AlignmentPairSet) -> list[np.ndarray]:
+    """One int64 key per pair of each set, equal exactly for equal pairs."""
+    width = 1 + max((int(s.targets.max()) for s in sets if len(s)), default=0)
+    return [s.sources * width + s.targets for s in sets]
+
+
 def cmd_seeds(args) -> int:
     cfg = load_config(args.config)
     layout, *_ = parse_configs(cfg)
@@ -265,13 +270,11 @@ def cmd_seeds(args) -> int:
     seeds = generate_seeds(matrix)
     kg_io.write_pairs(seeds, out / "generated_pairs")
     print(f"generated {len(seeds)} seed pairs")
-    if len(refs):
-        gold = refs.as_set()
-        sources = set(refs.sources())
-        checkable = [p for p in seeds.pairs if p[0] in sources]
-        if checkable:
-            precision = sum(p in gold for p in checkable) / len(checkable)
-            print(f"precision vs references: {precision:.4f} over {len(checkable)} checkable pairs")
+    checkable = np.isin(seeds.sources, refs.sources)
+    if checkable.any():
+        found, gold = _pair_keys(seeds, refs)
+        precision = np.isin(found[checkable], gold).mean()
+        print(f"precision vs references: {precision:.4f} over {checkable.sum()} checkable pairs")
     return 0
 
 
@@ -282,11 +285,12 @@ def cmd_eval(args) -> int:
     if not len(refs):
         raise ConfigError("dataset has no reference pairs to score against")
     preds = kg_io.read_predictions(Path(args.predictions))
-    by_source = {a: b for a, b in preds.pairs}
-    gold = refs.pairs
-    hit = sum(1 for a, b in gold if by_source.get(a) == b)
-    covered = sum(1 for a, _ in gold if a in by_source)
-    print(f"references: {len(gold)}  predicted: {covered}  hits@1: {hit / len(gold):.4f}")
+    # a source predicted more than once is scored by its last line
+    last = len(preds) - 1 - np.unique(preds.sources[::-1], return_index=True)[1]
+    gold, predicted = _pair_keys(refs, preds)
+    hit = np.isin(gold, predicted[last]).sum()
+    covered = np.isin(refs.sources, preds.sources).sum()
+    print(f"references: {len(refs)}  predicted: {covered}  hits@1: {hit / len(refs):.4f}")
     return 0
 
 

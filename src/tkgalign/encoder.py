@@ -8,11 +8,20 @@ concatenates all layers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
 from .kg import TemporalKG
+
+
+def check_int_fields(config) -> None:
+    """Raise ValueError unless every `int` field holds an int or NumPy integer, not a bool."""
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if f.type in ("int", int) and (isinstance(v, bool) or not isinstance(v, Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
 
 
 @dataclass
@@ -25,8 +34,11 @@ class EncoderConfig:
     ablate_global_concat: bool = False
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.dim < 1 or self.layers < 1:
             raise ValueError("dim and layers must be >= 1")
+        if self.init_scale is not None and not 0 < self.init_scale < np.inf:
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
 
 
 @dataclass

@@ -45,6 +45,15 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _positions(ids: np.ndarray, wanted: np.ndarray, missing: str) -> np.ndarray:
+    """Positions of the wanted ids in the distinct `ids`; `missing` names an absent one."""
+    absent = ~np.isin(wanted, ids)
+    if absent.any():
+        raise ValueError(missing.format(wanted[np.argmax(absent)]))
+    order = np.argsort(ids)
+    return order[np.searchsorted(ids, wanted, sorter=order)]
+
+
 class RowRanks:
     """`rank_of_truth` of every reference in its row, in reference order,
     filled in as `update` is handed the row blocks of `sim`.
@@ -54,21 +63,13 @@ class RowRanks:
     row. Raises ValueError when a reference entity is not in `sim`."""
 
     def __init__(self, sim: ScoreRows, references: AlignmentPairSet) -> None:
-        src_pos = {int(e): i for i, e in enumerate(sim.source_ids)}
-        tgt_pos = {int(e): j for j, e in enumerate(sim.target_ids)}
-        self.pairs = references.pairs
-        rows, cols = [], []
-        for a, b in references.pairs:
-            if a not in src_pos:
-                raise ValueError(f"reference source {a} missing from similarity rows")
-            if b not in tgt_pos:
-                raise ValueError(f"reference target {b} missing from candidate pool")
-            rows.append(src_pos[a])
-            cols.append(tgt_pos[b])
-        self.rows = np.array(rows, dtype=np.int64)
-        self.cols = np.array(cols, dtype=np.int64)
-        self.truth = np.empty(len(rows))
-        self.ranks = np.empty(len(rows), dtype=np.int64)
+        self.references = references
+        self.rows = _positions(sim.source_ids, references.sources,
+                               "reference source {} missing from similarity rows")
+        self.cols = _positions(sim.target_ids, references.targets,
+                               "reference target {} missing from candidate pool")
+        self.truth = np.empty(len(references))
+        self.ranks = np.empty(len(references), dtype=np.int64)
         self._order = np.argsort(self.rows, kind="stable")
         self._sorted_rows = self.rows[self._order]
 
@@ -117,12 +118,12 @@ def evaluate(
 
     Default protocol ranks source entities against the target candidate pool;
     with `bidirectional` the metrics are averaged with the transposed
-    direction. `row_ranks`, the references' row ranks already taken over
-    `sim` (as `aligner.predict_and_rank` returns them), saves the pass over
-    the rows; only `bidirectional` then reads `sim`, for the column ranks."""
+    direction. `row_ranks`, the row ranks of this same `references` object
+    already taken over `sim` (as `aligner.predict_and_rank` returns them),
+    saves the pass over the rows; only `bidirectional` then reads `sim`."""
     if row_ranks is None:
         row_ranks = _row_ranks(sim, references)
-    elif row_ranks.pairs != references.pairs:
+    elif row_ranks.references is not references:
         raise ValueError("row_ranks were taken for other references")
     arr = row_ranks.with_columns(sim, bidirectional).astype(np.float64)
     hits = {int(k): float((arr <= k).mean()) for k in ks}

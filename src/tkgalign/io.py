@@ -1,6 +1,6 @@
 """Dataset file parsing and serialization.
 
-File formats (tab separated, one record per line):
+File formats (tab separated, one record per line; blank lines are skipped):
   quadruple file: head  relation  tail  time_begin  time_end
       non-negative integer ids for head/relation/tail, raw timestamp labels
       for the time columns; a point-in-time fact repeats the same label in
@@ -8,11 +8,18 @@ File formats (tab separated, one record per line):
       unknown/open boundary.
   pair file:      id_in_G1  id_in_G2
   prediction file: source_id  target_id  score
+      ids are non-negative and no pair occurs on two lines.
+
+Every file goes through one reader, which splits the whole file once and
+converts it a column at a time; a malformed file raises ParseError naming
+the first bad `file:line`.
 """
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +28,11 @@ from .kg import (
     HEAD,
     RELATION,
     TAIL,
-    UNKNOWN_TIME_ID,
-    UNKNOWN_TIME_LABELS,
     AlignmentPairSet,
     MergedTimeVocabulary,
     TemporalKG,
     build_merged_time_vocabulary,
+    first_repeated_pair,
 )
 
 
@@ -57,47 +63,64 @@ class ParseError(ValueError):
     pass
 
 
-def _parse_quad_lines(path: Path) -> tuple[list[tuple[int, int, int]], list[str]]:
-    """(head, relation, tail) ids per line, and the stripped time_begin and
-    time_end labels of every line, flattened in order."""
-    ids, labels = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            try:
-                h, r, t = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
-            if h < 0 or r < 0 or t < 0:
-                raise ParseError(f"{path}:{lineno}: negative id in quadruple ({h}, {r}, {t})")
-            ids.append((h, r, t))
-            labels += (parts[3].strip(), parts[4].strip())
-    return ids, labels
+def _first_bad_line(path: Path, lines: list[str], kinds: str, pairs: bool) -> ParseError | None:
+    """The error of the first bad line, checked in the order the columns are:
+    field count, integer ids, no negative id, float fields, and with `pairs`
+    no repeat of an earlier line's two ids."""
+    n, record, seen = len(kinds), "pair" if pairs else "quadruple", set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        row = line.split("\t")
+        if len(row) != n:
+            return ParseError(f"{path}:{lineno}: expected {n} tab-separated fields, got {len(row)}")
+        try:
+            ids = tuple(int(x) for x, k in zip(row, kinds) if k == "i")
+        except ValueError as exc:
+            return ParseError(f"{path}:{lineno}: non-integer id: {exc}")
+        if min(ids) < 0:
+            return ParseError(f"{path}:{lineno}: negative id in {record} {ids}")
+        try:
+            [float(x) for x, k in zip(row, kinds) if k == "f"]
+        except ValueError as exc:
+            return ParseError(f"{path}:{lineno}: non-float score: {exc}")
+        if pairs:
+            if ids in seen:
+                return ParseError(f"{path}:{lineno}: duplicate pair {ids}")
+            seen.add(ids)
+    return None
+
+
+def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
+    """The columns of a tab-separated file, one per character of `kinds`: 'i'
+    a non-negative id (int64), 'f' a float (float64), 's' a raw label (list
+    of str). Blank lines are skipped; with `pairs`, no two lines hold the
+    same first two ids. The file is split once and each column converted
+    whole, by the `int` or `float` of each field; only when that fails are
+    the lines checked one by one, to raise ParseError at the first bad one."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    records = [line for line in lines if line.strip()]
+    n = len(kinds)
+    columns = None
+    if not set(map(str.count, records, repeat("\t"))) - {n - 1}:  # n fields on every line
+        fields = "\t".join(records).split("\t") if records else []
+        with suppress(ValueError):  # a field that int() or float() rejects
+            columns = [
+                fields[j::n] if k == "s"
+                else np.array(fields[j::n], dtype=np.int64 if k == "i" else np.float64)
+                for j, k in enumerate(kinds)
+            ]
+    if (
+        columns is None
+        or any((c < 0).any() for c, k in zip(columns, kinds) if k == "i")
+        or (pairs and first_repeated_pair(columns[0], columns[1]) >= 0)
+    ):
+        raise _first_bad_line(path, lines, kinds, pairs)
+    return columns
 
 
 def read_pairs(path: Path, provenance: str = "gold") -> AlignmentPairSet:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
-            if a < 0 or b < 0:
-                raise ParseError(f"{path}:{lineno}: negative entity id in pair ({a}, {b})")
-            pairs.append((a, b))
-    return AlignmentPairSet.from_pairs(pairs, provenance=provenance)
+    return AlignmentPairSet(*_read_columns(path, "ii", pairs=True), provenance)
 
 
 def write_pairs(pairs: AlignmentPairSet, path: Path) -> None:
@@ -112,58 +135,34 @@ def load_dataset(
     """Parse a dataset into graph structures sharing one merged timestamp
     vocabulary. Entity/relation counts are inferred from the maximum ids seen
     in the quadruple and pair files of each graph."""
-    ids1, labels1 = _parse_quad_lines(Path(layout.quads1))
-    ids2, labels2 = _parse_quad_lines(Path(layout.quads2))
-    vocab = build_merged_time_vocabulary(set(labels1), set(labels2))
-    time_ids = {**dict.fromkeys(UNKNOWN_TIME_LABELS, UNKNOWN_TIME_ID), **vocab.label_to_id}
+    cols1 = _read_columns(Path(layout.quads1), "iiiss")
+    cols2 = _read_columns(Path(layout.quads2), "iiiss")
+    raw1, raw2 = ({*cols[3], *cols[4]} for cols in (cols1, cols2))
+    vocab = build_merged_time_vocabulary(raw1, raw2)
+    empty = AlignmentPairSet.from_pairs([])
+    seeds = read_pairs(Path(layout.sup_pairs)) if layout.sup_pairs is not None else empty
+    refs = read_pairs(Path(layout.ref_pairs)) if layout.ref_pairs is not None else empty
 
-    seeds = (
-        read_pairs(Path(layout.sup_pairs))
-        if layout.sup_pairs is not None
-        else AlignmentPairSet.from_pairs([])
-    )
-    refs = (
-        read_pairs(Path(layout.ref_pairs))
-        if layout.ref_pairs is not None
-        else AlignmentPairSet.from_pairs([])
-    )
-
-    def build(ids, labels, side):
-        quads = np.hstack([
-            np.array(ids, dtype=np.int64).reshape(-1, 3),
-            np.array([time_ids[x] for x in labels], dtype=np.int64).reshape(-1, 2),
-        ])
-        pair_ids = [p[side] for p in seeds.pairs + refs.pairs]
-        n = max(int(quads[:, [HEAD, TAIL]].max(initial=-1)), max(pair_ids, default=-1)) + 1
+    def build(cols, raw_labels, pair_ids):
+        time_id = {label: vocab.id_of(label) for label in raw_labels}
+        times = [np.fromiter(map(time_id.__getitem__, c), np.int64, len(c)) for c in cols[3:]]
+        quads = np.column_stack([*cols[:3], *times])
+        n = max(int(quads[:, [HEAD, TAIL]].max(initial=-1)), int(pair_ids.max(initial=-1))) + 1
         return TemporalKG.build(quads, n, int(quads[:, RELATION].max(initial=-1)) + 1)
 
-    return build(ids1, labels1, 0), build(ids2, labels2, 1), vocab, seeds, refs
+    kg1 = build(cols1, raw1, np.concatenate([seeds.sources, refs.sources]))
+    kg2 = build(cols2, raw2, np.concatenate([seeds.targets, refs.targets]))
+    return kg1, kg2, vocab, seeds, refs
 
 
 def write_predictions(pairs: AlignmentPairSet, path: Path) -> None:
     """Write `source \\t target \\t score` lines; score defaults to 1."""
-    scores = pairs.scores or [1.0] * len(pairs)
+    scores = [1.0] * len(pairs) if pairs.scores is None else pairs.scores.tolist()
     with open(path, "w", encoding="utf-8") as f:
         for (a, b), s in zip(pairs.pairs, scores):
             f.write(f"{a}\t{b}\t{s!r}\n")
 
 
 def read_predictions(path: Path) -> AlignmentPairSet:
-    pairs, scores = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
-            try:
-                scores.append(float(parts[2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-float score: {exc}") from None
-    return AlignmentPairSet.from_pairs(pairs, provenance="prediction", scores=scores)
+    src, tgt, scores = _read_columns(path, "iif", pairs=True)
+    return AlignmentPairSet(src, tgt, "prediction", scores)

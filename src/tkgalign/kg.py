@@ -154,27 +154,40 @@ def union_graph(kg1: TemporalKG, kg2: TemporalKG) -> TemporalKG:
 VALID_PROVENANCE = ("gold", "pseudo", "generated", "prediction")
 
 
+def first_repeated_pair(sources: np.ndarray, targets: np.ndarray) -> int:
+    """Position of the first pair that equals an earlier one, or -1."""
+    order = np.lexsort((targets, sources))  # stable: equal pairs keep their order
+    s, t = sources[order], targets[order]
+    later = order[1:][(s[1:] == s[:-1]) & (t[1:] == t[:-1])]
+    return int(later.min()) if len(later) else -1
+
+
 @dataclass
 class AlignmentPairSet:
-    """Entity-id pairs across the two graphs with per-pair provenance."""
+    """Entity-id pairs across the two graphs, as columns: `sources` and
+    `targets` (int64), a provenance label per pair (one label given alone
+    applies to every pair) and optional float64 `scores`. No pair occurs
+    twice."""
 
-    pairs: list[tuple[int, int]]
-    provenance: list[str]
-    scores: list[float] | None = None
+    sources: np.ndarray
+    targets: np.ndarray
+    provenance: np.ndarray | str
+    scores: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.provenance):
-            raise ValueError("pairs and provenance lengths differ")
-        if self.scores is not None and len(self.scores) != len(self.pairs):
-            raise ValueError("scores length differs from pairs")
-        seen = set()
-        for p in self.pairs:
-            if p in seen:
-                raise ValueError(f"duplicate pair {p}")
-            seen.add(p)
-        for lab in self.provenance:
-            if lab not in VALID_PROVENANCE:
-                raise ValueError(f"unknown provenance label {lab!r}")
+        self.sources = np.asarray(self.sources, dtype=np.int64)
+        self.targets = np.asarray(self.targets, dtype=np.int64)
+        if self.scores is not None:
+            self.scores = np.asarray(self.scores, dtype=np.float64)
+        if len({len(c) for c in (self.sources, self.targets, self.scores) if c is not None}) > 1:
+            raise ValueError("sources, targets and scores lengths differ")
+        self.provenance = np.broadcast_to(np.asarray(self.provenance, str), self.sources.shape)
+        dup = first_repeated_pair(self.sources, self.targets)
+        if dup >= 0:
+            raise ValueError(f"duplicate pair {self.pairs[dup]}")
+        unknown = self.provenance[~np.isin(self.provenance, VALID_PROVENANCE)]
+        if len(unknown):
+            raise ValueError(f"unknown provenance label {str(unknown[0])!r}")
 
     @classmethod
     def from_pairs(
@@ -183,35 +196,25 @@ class AlignmentPairSet:
         provenance: str = "gold",
         scores: Iterable[float] | None = None,
     ) -> "AlignmentPairSet":
-        pairs = [tuple(p) for p in pairs]
-        return cls(
-            pairs=pairs,
-            provenance=[provenance] * len(pairs),
-            scores=None if scores is None else list(scores),
-        )
+        ids = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls(ids[:, 0], ids[:, 1], provenance, None if scores is None else list(scores))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.sources)
 
-    def sources(self) -> list[int]:
-        return [p[0] for p in self.pairs]
-
-    def targets(self) -> list[int]:
-        return [p[1] for p in self.pairs]
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The (source, target) tuples, derived from the columns."""
+        return list(zip(self.sources.tolist(), self.targets.tolist()))
 
     def as_set(self) -> set[tuple[int, int]]:
         return set(self.pairs)
 
     def extended(self, other: "AlignmentPairSet") -> "AlignmentPairSet":
-        """New set with other's pairs appended; duplicates are rejected."""
-        scores = None
-        if self.scores is not None or other.scores is not None:
-            scores = [
-                *(self.scores or [float("nan")] * len(self)),
-                *(other.scores or [float("nan")] * len(other)),
-            ]
+        """New set, without scores, with other's pairs appended; duplicates
+        are rejected."""
         return AlignmentPairSet(
-            pairs=self.pairs + other.pairs,
-            provenance=self.provenance + other.provenance,
-            scores=scores,
+            np.concatenate([self.sources, other.sources]),
+            np.concatenate([self.targets, other.targets]),
+            np.concatenate([self.provenance, other.provenance]),
         )

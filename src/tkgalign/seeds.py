@@ -7,7 +7,6 @@ the only exact match in column j. Emitted seeds form a partial matching.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kg import AlignmentPairSet
 from .timesim import SimilarityMatrix
@@ -16,14 +15,14 @@ from .timesim import SimilarityMatrix
 EXACT_MATCH_TOL = 1e-12
 
 
-def generate_seeds(time_sim: SimilarityMatrix, tol: float = EXACT_MATCH_TOL) -> AlignmentPairSet:
+def generate_seeds(time_sim: SimilarityMatrix) -> AlignmentPairSet:
     if time_sim.kind != "time":
         raise ValueError("seed generation expects a time similarity matrix")
-    s = sp.csr_matrix(time_sim.scores)
+    s = time_sim.scores
     # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset
     # keeps the exact test from allocating a float per stored score
-    near = np.flatnonzero(s.data >= 1.0 - 2.0 * tol)
-    hits = near[np.abs(s.data[near] - 1.0) <= tol]
+    near = np.flatnonzero(s.data >= 1.0 - 2.0 * EXACT_MATCH_TOL)
+    hits = near[np.abs(s.data[near] - 1.0) <= EXACT_MATCH_TOL]
     rows = np.searchsorted(s.indptr, hits, side="right") - 1
     cols = s.indices[hits]
     unique = (np.bincount(rows, minlength=s.shape[0])[rows] == 1) & (
@@ -31,5 +30,5 @@ def generate_seeds(time_sim: SimilarityMatrix, tol: float = EXACT_MATCH_TOL) -> 
     )
     src = np.asarray(time_sim.source_ids)[rows[unique]]
     tgt = np.asarray(time_sim.target_ids)[cols[unique]]
-    pairs = sorted(zip(src.tolist(), tgt.tolist()))
-    return AlignmentPairSet.from_pairs(pairs, provenance="generated")
+    order = np.lexsort((tgt, src))
+    return AlignmentPairSet(src[order], tgt[order], "generated")

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import DatasetLayout
+from .io import DatasetLayout, write_pairs
+from .kg import AlignmentPairSet
 
 
 @dataclass
@@ -117,13 +118,8 @@ def write_benchmark(ds: SyntheticDataset, out_dir: Path) -> DatasetLayout:
             for h, r, t, tb, te in quads:
                 f.write(f"{h}\t{r}\t{t}\t{tb}\t{te}\n")
 
-    def dump_pairs(pairs, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for a, b in pairs:
-                f.write(f"{a}\t{b}\n")
-
     dump_quads(ds.quads1, out_dir / "triples_1")
     dump_quads(ds.quads2, out_dir / "triples_2")
-    dump_pairs(ds.sup_pairs, out_dir / "sup_pairs")
-    dump_pairs(ds.ref_pairs, out_dir / "ref_pairs")
+    write_pairs(AlignmentPairSet.from_pairs(ds.sup_pairs), out_dir / "sup_pairs")
+    write_pairs(AlignmentPairSet.from_pairs(ds.ref_pairs), out_dir / "ref_pairs")
     return DatasetLayout.from_dir(out_dir)

@@ -82,31 +82,20 @@ class ScoreRows:
         return out
 
 
-def _dense_copy(block: np.ndarray | sp.csr_matrix) -> np.ndarray:
-    return block.toarray() if sp.issparse(block) else np.array(block, dtype=np.float64)
-
-
 @dataclass
 class SimilarityMatrix(ScoreRows):
-    """Stored scores between ordered source and target entity id lists.
-
-    `scores` is either a dense ndarray or a scipy csr matrix (absent sparse
-    entries are exactly 0). kind is one of {time, embedding, combined}.
+    """Stored scores between ordered source and target entity id lists, as
+    a scipy csr matrix whose absent entries are exactly 0. kind is one of
+    {time, embedding, combined}.
     """
 
     source_ids: np.ndarray
     target_ids: np.ndarray
-    scores: np.ndarray | sp.csr_matrix
+    scores: sp.csr_matrix
     kind: str
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        return _dense_copy(self.scores[start:stop])
-
-    @property
-    def dense(self) -> np.ndarray:
-        if sp.issparse(self.scores):
-            return self.scores.toarray()
-        return self.scores
+        return self.scores[start:stop].toarray()
 
     def submatrix(self, row_positions: np.ndarray, col_positions: np.ndarray) -> BlockedScores:
         """The rows and columns at the given positions, gathered a block of
@@ -115,7 +104,7 @@ class SimilarityMatrix(ScoreRows):
         col_positions = np.asarray(col_positions)
 
         def rows(start: int, stop: int) -> np.ndarray:
-            return _dense_copy(self.scores[row_positions[start:stop]][:, col_positions])
+            return self.scores[row_positions[start:stop]][:, col_positions].toarray()
 
         return BlockedScores(
             source_ids=np.asarray(self.source_ids)[row_positions],

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
+    check_int_fields,
     forward_layers,
     make_dropout_mask,
 )
@@ -38,6 +39,7 @@ class TrainConfig:
     optimizer_epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.margin <= 0 or self.learning_rate <= 0:
             raise ValueError("margin and learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -72,7 +74,7 @@ def sample_negatives(
     int64 array whose rows p*count .. (p+1)*count-1 corrupt pair p."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = np.repeat(np.asarray(pairs.pairs, dtype=np.int64).reshape(-1, 2), count, axis=0)
+    out = np.repeat(np.column_stack([pairs.sources, pairs.targets]), count, axis=0)
     sides = rng.integers(2, size=len(out))
     for side, n, name in ((0, kg_sizes[0], "source"), (1, kg_sizes[1], "target")):
         rows = np.flatnonzero(sides == side)
@@ -105,12 +107,10 @@ class TripletBatch:
     ) -> "TripletBatch":
         negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
         k, rem = divmod(len(negatives), max(len(pairs), 1))
-        if rem or not pairs.pairs:
+        if rem or not len(pairs):
             raise ValueError("negatives must be a whole multiple of pairs")
-        pos = np.repeat(np.asarray(pairs.pairs, dtype=np.int64), k, axis=0)
-        return cls(
-            pos[:, 0], pos[:, 1] + entity_offset, negatives[:, 0], negatives[:, 1] + entity_offset
-        )
+        pos_src, pos_tgt = np.repeat(pairs.sources, k), np.repeat(pairs.targets, k) + entity_offset
+        return cls(pos_src, pos_tgt, negatives[:, 0], negatives[:, 1] + entity_offset)
 
 
 def compute_gradients(

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import ACCEPTANCE_VERDICTS
 
@@ -37,6 +38,7 @@ from tkgalign.trainer import TrainConfig, compute_gradients
 # brute-force oracles already exercised by the unit suites
 from test_aligner import naive_csls
 from test_seeds import brute_force as brute_force_seeds
+from test_aligner import matrix
 from test_timesim import naive_similarity
 from test_trainer import finite_difference, random_instance
 
@@ -173,7 +175,7 @@ def test_criterion_3_seed_generation_equals_brute_force():
                 s[i, rng.integers(40)] = 1.0
             if trial % 4 == 0:
                 s[:3, :3] = 1.0  # deliberately ambiguous block
-            sim = SimilarityMatrix(np.arange(40), np.arange(40), s, kind="time")
+            sim = SimilarityMatrix(np.arange(40), np.arange(40), sp.csr_matrix(s), kind="time")
             got = generate_seeds(sim).as_set()
             assert got == brute_force_seeds(s)
             assert len({i for i, _ in got}) == len(got)
@@ -185,7 +187,7 @@ def test_criterion_4_csls_matches_naive_and_shift_invariance():
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = rng.random((50, 50))
-            sim = SimilarityMatrix(np.arange(50), np.arange(50), s, kind="combined")
+            sim = matrix(s)
             out = csls_rescale(sim, 10).dense
             expected = naive_csls(s, 10)
             assert np.allclose(out, expected, atol=1e-10)
@@ -193,7 +195,7 @@ def test_criterion_4_csls_matches_naive_and_shift_invariance():
             # shifting one row by a constant leaves that row's argmax unchanged
             shifted = s.copy()
             shifted[11] += rng.uniform(0.5, 3.0)
-            sim2 = SimilarityMatrix(np.arange(50), np.arange(50), shifted, kind="combined")
+            sim2 = matrix(shifted)
             out2 = csls_rescale(sim2, 10).dense
             assert int(np.argmax(out[11])) == int(np.argmax(out2[11]))
 
@@ -205,7 +207,7 @@ def test_criterion_5_metrics_match_sort_oracle_and_hand_case():
         for i, r in enumerate((1, 2, 4)):
             s[i, : r - 1] = np.linspace(0.9, 0.8, r - 1)
             s[i, 4] = 0.5
-        sim = SimilarityMatrix(np.arange(3), np.arange(5), s, kind="combined")
+        sim = matrix(s)
         refs = AlignmentPairSet.from_pairs([(i, 4) for i in range(3)])
         report = evaluate(sim, refs, ks=(1, 2, 10))
         assert report.hits_at[1] == pytest.approx(1 / 3)
@@ -216,7 +218,7 @@ def test_criterion_5_metrics_match_sort_oracle_and_hand_case():
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = np.round(rng.random((30, 30)), 2)  # rounding provokes ties
-            sim = SimilarityMatrix(np.arange(30), np.arange(30), s, kind="combined")
+            sim = matrix(s)
             refs = AlignmentPairSet.from_pairs([(i, int(rng.integers(30))) for i in range(30)])
             report = evaluate(sim, refs, ks=(1, 10))
             ranks = []

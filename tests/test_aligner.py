@@ -20,16 +20,22 @@ from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
-from tkgalign.timesim import SimilarityMatrix, build_time_dictionary, build_time_similarity_matrix
+from tkgalign.timesim import (
+    BlockedScores,
+    SimilarityMatrix,
+    build_time_dictionary,
+    build_time_similarity_matrix,
+)
 from tkgalign.trainer import TrainConfig, train
 
 
-def matrix(scores, kind="combined"):
+def matrix(scores, kind="combined", source_ids=None, target_ids=None):
+    """Dense scores read through the row-block protocol."""
     scores = np.asarray(scores, dtype=np.float64)
-    return SimilarityMatrix(
-        source_ids=np.arange(scores.shape[0]),
-        target_ids=np.arange(scores.shape[1]),
-        scores=scores,
+    return BlockedScores(
+        source_ids=np.arange(scores.shape[0]) if source_ids is None else source_ids,
+        target_ids=np.arange(scores.shape[1]) if target_ids is None else target_ids,
+        rows=lambda start, stop: scores[start:stop].copy(),
         kind=kind,
     )
 
@@ -112,6 +118,19 @@ class TestEmbeddingSimilarity:
                 assert sim.dense[i, j] == pytest.approx(expected, abs=1e-10)
 
 
+class TestAlignConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", 1.5),
+        ("csls_k", 0),
+        ("csls_k", 2.5),
+        ("iterations", 1.0),
+        ("iterations", True),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlignConfig(**{field: value})
+
+
 class TestCombine:
     def test_hand_arithmetic(self):
         emb = matrix([[0.5]], kind="embedding")
@@ -179,7 +198,7 @@ class TestPredict:
     def test_identity_matrix(self):
         preds = predict(matrix(np.eye(3)))
         assert preds.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert preds.provenance == ["prediction"] * 3
+        assert preds.provenance.tolist() == ["prediction"] * 3
 
     def test_tie_breaks_toward_smaller_index(self):
         preds = predict(matrix([[0.5, 0.5, 0.1]]))
@@ -197,7 +216,7 @@ class TestMutualNearest:
     def test_identity_matrix_full_diagonal(self):
         pairs = mutual_nearest_pairs(matrix(np.eye(4)))
         assert pairs.as_set() == {(i, i) for i in range(4)}
-        assert pairs.provenance == ["pseudo"] * 4
+        assert pairs.provenance.tolist() == ["pseudo"] * 4
 
     def test_colliding_rows_leave_at_most_one_pair(self):
         s = np.array([[0.9, 0.1], [0.8, 0.1]])  # both rows prefer target 0
@@ -307,12 +326,12 @@ class TestBlockedScoring:
             {(int(rng.choice(src)), int(rng.choice(tgt))) for _ in range(15)}, key=lambda p: -p[1]
         ))
         use_block_rows(monkeypatch, block, shape[1])
-        sim = csls_rescale(SimilarityMatrix(src, tgt, s, "combined"), k)
+        sim = csls_rescale(matrix(s, source_ids=src, target_ids=tgt), k)
         expected = dense_csls(s, k)
 
         preds, ranked = predict_and_rank(sim, refs)
         pairs, scores = dense_predict(expected, src, tgt)
-        assert preds.pairs == pairs and preds.scores == scores
+        assert preds.pairs == pairs and preds.scores.tolist() == scores
         row = {int(e): i for i, e in enumerate(src)}
         col = {int(e): j for j, e in enumerate(tgt)}
         ranks = [rank_of_truth(expected[row[a]], col[b]) for a, b in refs.pairs]

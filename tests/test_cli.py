@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from tkgalign.cli import apply_ablation, main, run_alignment
-from tkgalign.io import read_predictions
+from tkgalign.io import read_pairs, read_predictions
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,18 @@ def test_eval_command(tmp_path, bench_dir, capsys):
     assert "hits@1" in capsys.readouterr().out
 
 
+def test_eval_command_scores_the_last_prediction_of_a_source(tmp_path, bench_dir, capsys):
+    cfg_path, _ = write_config(tmp_path, bench_dir)
+    refs = read_pairs(bench_dir / "ref_pairs").pairs
+    (a0, b0), (a1, b1), (a2, b2) = refs[:3]
+    wrong = max(b for _, b in refs) + 1
+    lines = [(a0, b0), (a1, wrong), (a2, b2), (a1, b1), (a2, wrong)]
+    (tmp_path / "preds.tsv").write_text("".join(f"{a}\t{b}\t0.5\n" for a, b in lines))
+    assert main(["eval", str(cfg_path), "--predictions", str(tmp_path / "preds.tsv")]) == 0
+    out = capsys.readouterr().out
+    assert f"references: {len(refs)}  predicted: 3  hits@1: {2 / len(refs):.4f}" in out
+
+
 def test_eval_command_reports_a_bad_prediction_line(tmp_path, bench_dir, capsys):
     cfg_path, _ = write_config(tmp_path, bench_dir)
     (tmp_path / "preds.tsv").write_text("0\t0\t0.5\n1\t1\thigh\n")
@@ -158,6 +170,18 @@ def test_bad_train_value_exits_2(tmp_path, bench_dir, capsys, field, value):
     cfg_path, _ = write_config(tmp_path, bench_dir, train={field: value})
     assert main(["align", str(cfg_path)]) == 2
     assert "invalid value in [train] section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("encoder", "dim", 8.5), ("encoder", "init_scale", -1), ("encoder", "init_scale", 0),
+    ("train", "epochs", 2.5), ("align", "csls_k", 2.5),
+])
+def test_wrong_typed_value_exits_2_before_loading(tmp_path, bench_dir, capsys, section, field,
+                                                  value):
+    cfg_path, _ = write_config(tmp_path, bench_dir, **{section: {field: value}})
+    assert main(["align", str(cfg_path)]) == 2
+    assert f"invalid value in [{section}] section" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -71,10 +71,6 @@ class TestInit:
         assert np.array_equal(a.entity_table, b.entity_table)
         assert np.array_equal(a.relation_table, b.relation_table)
 
-    def test_zero_scale(self):
-        st = init_embeddings(EncoderConfig(dim=4, init_scale=0.0), 5, 2)
-        assert not st.entity_table.any() and not st.relation_table.any()
-
     def test_sample_mean_near_zero(self):
         st = init_embeddings(EncoderConfig(dim=1000, init_seed=0, init_scale=0.5), 1000, 1)
         vals = st.entity_table.ravel()
@@ -84,6 +80,26 @@ class TestInit:
     def test_bounds_respected(self):
         st = init_embeddings(EncoderConfig(dim=16, init_scale=0.1), 50, 5)
         assert np.abs(st.entity_table).max() <= 0.1
+
+
+class TestEncoderConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 0),
+        ("dim", 8.5),
+        ("dim", True),
+        ("layers", 2.0),
+        ("init_seed", 0.5),
+        ("init_scale", 0.0),
+        ("init_scale", -1),
+        ("init_scale", float("nan")),
+        ("init_scale", float("inf")),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        EncoderConfig(dim=np.int64(4), layers=np.int32(1), init_seed=np.uint8(3), init_scale=1e-300)
 
 
 class TestFusion:

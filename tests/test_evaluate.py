@@ -4,19 +4,9 @@ import pytest
 from tkgalign.aligner import predict_and_rank
 from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
 from tkgalign.kg import AlignmentPairSet
-from tkgalign.timesim import BlockedScores, SimilarityMatrix
+from tkgalign.timesim import BlockedScores
 
-from test_aligner import dense_predict, use_block_rows
-
-
-def matrix(scores):
-    scores = np.asarray(scores, dtype=np.float64)
-    return SimilarityMatrix(
-        source_ids=np.arange(scores.shape[0]),
-        target_ids=np.arange(scores.shape[1]),
-        scores=scores,
-        kind="combined",
-    )
+from test_aligner import dense_predict, matrix, use_block_rows
 
 
 def dense_ranks(sim, references):
@@ -35,7 +25,7 @@ def dense_ranks(sim, references):
 
 
 def dense_bidirectional_ranks(sim, references):
-    flipped = SimilarityMatrix(sim.target_ids, sim.source_ids, sim.dense.T, sim.kind)
+    flipped = matrix(sim.dense.T, sim.kind, sim.target_ids, sim.source_ids)
     rev_refs = AlignmentPairSet.from_pairs([(b, a) for a, b in references.pairs])
     return dense_ranks(sim, references) + dense_ranks(flipped, rev_refs)
 
@@ -139,11 +129,10 @@ class TestBlockedRanks:
     def test_matches_dense_oracle(self, monkeypatch, block, shape, ties):
         rng = np.random.default_rng(sum(shape) + 2 * ties)
         s = rng.integers(0, 3, size=shape).astype(float) if ties else rng.random(shape)
-        sim = SimilarityMatrix(
+        sim = matrix(
+            s,
             source_ids=rng.permutation(shape[0]) + 100,
             target_ids=rng.permutation(shape[1]) + 500,
-            scores=s,
-            kind="combined",
         )
         pairs = {(int(rng.integers(shape[0])) + 100, int(rng.integers(shape[1])) + 500)
                  for _ in range(20)}
@@ -163,18 +152,18 @@ class TestBlockedRanks:
     def test_fused_decode_matches_dense_oracle(self, monkeypatch, block, shape, ties):
         rng = np.random.default_rng(sum(shape) + 2 * ties + 1)
         s = rng.integers(0, 3, size=shape).astype(float) if ties else rng.random(shape)
-        sim = SimilarityMatrix(
+        sim = matrix(
+            s,
             source_ids=rng.permutation(shape[0]) + 100,
             target_ids=rng.permutation(shape[1]) + 500,
-            scores=s,
-            kind="combined",
         )
         pairs = {(int(rng.integers(shape[0])) + 100, int(rng.integers(shape[1])) + 500)
                  for _ in range(20)}
         refs = AlignmentPairSet.from_pairs(sorted(pairs, key=lambda p: -p[1]))
         use_block_rows(monkeypatch, block, shape[1])
         preds, ranked = predict_and_rank(sim, refs)
-        assert (preds.pairs, preds.scores) == dense_predict(s, sim.source_ids, sim.target_ids)
+        expected = dense_predict(s, sim.source_ids, sim.target_ids)
+        assert (preds.pairs, preds.scores.tolist()) == expected
         assert ranked.ranks.tolist() == dense_ranks(sim, refs)
         assert ranked.with_columns(sim, True).tolist() == dense_bidirectional_ranks(sim, refs)
         for bidirectional, oracle in ((False, dense_ranks), (True, dense_bidirectional_ranks)):

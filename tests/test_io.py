@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from tkgalign.io import (
     DatasetLayout,
     ParseError,
+    _read_columns,
     load_dataset,
     read_pairs,
     read_predictions,
@@ -11,6 +14,79 @@ from tkgalign.io import (
     write_predictions,
 )
 from tkgalign.kg import AlignmentPairSet
+
+
+# Line-by-line parsers: the reference for the whole-file reader's values and
+# for the file:line of its first error. Pair and prediction files also
+# reject a repeated pair at its second line; prediction files, negative ids.
+
+def oracle_quad_lines(path):
+    ids, labels = [], []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ParseError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
+            try:
+                h, r, t = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
+            if h < 0 or r < 0 or t < 0:
+                raise ParseError(f"{path}:{lineno}: negative id in quadruple ({h}, {r}, {t})")
+            ids.append((h, r, t))
+            labels += (parts[3].strip(), parts[4].strip())
+    return ids, labels
+
+
+def oracle_pairs(path):
+    pairs = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
+            if a < 0 or b < 0:
+                raise ParseError(f"{path}:{lineno}: negative id in pair ({a}, {b})")
+            if (a, b) in pairs:
+                raise ParseError(f"{path}:{lineno}: duplicate pair ({a}, {b})")
+            pairs.append((a, b))
+    return pairs
+
+
+def oracle_predictions(path):
+    pairs, scores = [], []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
+            if a < 0 or b < 0:
+                raise ParseError(f"{path}:{lineno}: negative id in pair ({a}, {b})")
+            try:
+                scores.append(float(parts[2]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-float score: {exc}") from None
+            if (a, b) in pairs:
+                raise ParseError(f"{path}:{lineno}: duplicate pair ({a}, {b})")
+            pairs.append((a, b))
+    return pairs, scores
 
 
 @pytest.fixture
@@ -119,8 +195,138 @@ def test_prediction_format_and_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("line, what", [("3\tx\t0.5", "non-integer id"),
-                                        ("3\t7\tnope", "non-float score")])
+                                        ("3\t7\tnope", "non-float score"),
+                                        ("1\t2\t0.5", r"duplicate pair \(1, 2\)")])
 def test_bad_prediction_field_reports_location(tmp_path, line, what):
     (tmp_path / "preds.tsv").write_text(f"1\t2\t0.25\n\n{line}\n")
     with pytest.raises(ParseError, match=rf"preds.tsv:3: {what}"):
         read_predictions(tmp_path / "preds.tsv")
+
+
+# Well-formed files in every layout the line parser accepts: CRLF endings,
+# blank, whitespace-only and tab-only lines, padded ids and labels, no final
+# newline, and no line at all.
+QUAD_FILES = [
+    "0\t0\t1\t2005\t2005\n1\t1\t2\t2005\t2008\n",
+    "0\t0\t1\t5\t5\r\n1\t0\t2\t6\t7\r\n",
+    "\n\n0\t0\t1\t5\t5\n\n1\t0\t2\t6\t6\n\n",
+    "0\t0\t1\t5\t5\n   \n\t\t\t\t\n \t \n1\t0\t2\t###\t\n",
+    " 3\t0 \t 1\t2005 \t 2008\n4\t+1\t0\t inf\t~\n",
+    "0\t0\t1\t5\t5\n1\t0\t2\t6\t6",
+    "",
+]
+PAIR_FILES = [
+    "0\t0\n1\t1\n",
+    "0\t0\r\n1\t1\r\n",
+    "\n 3\t 7 \n\t\n  \n4\t2",
+    "",
+]
+PREDICTION_FILES = [
+    "3\t7\t0.95\n",
+    "1\t2\t 0.5 \r\n\n\t\t\n2\t2\t1e-3\n 0\t2\tinf",
+    "",
+]
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("text", QUAD_FILES)
+def test_quad_columns_equal_the_line_parser(tmp_path, text):
+    path = write(tmp_path, "triples_1", text)
+    ids, labels = oracle_quad_lines(path)
+    cols = _read_columns(path, "iiiss")
+    assert all(c.dtype == np.int64 for c in cols[:3])
+    assert np.column_stack(cols[:3]).tolist() == [list(x) for x in ids]
+    assert [lab.strip() for pair in zip(cols[3], cols[4]) for lab in pair] == labels
+
+
+@pytest.mark.parametrize("text", QUAD_FILES)
+def test_load_dataset_equals_the_line_parser(tmp_path, text):
+    write(tmp_path, "triples_1", text)
+    write(tmp_path, "triples_2", "0\t0\t1\t2005\t2005\n")
+    write(tmp_path, "sup_pairs", "7\t0\n")
+    kg1, kg2, vocab, seeds, _ = load_dataset(DatasetLayout.from_dir(tmp_path))
+    ids, labels = oracle_quad_lines(tmp_path / "triples_1")
+    assert sorted(vocab.label_to_id) == sorted(
+        {*labels, "2005"} - {"", "0", "###", "inf", "-inf", "~"}
+    )
+    times = np.array([vocab.id_of(x) for x in labels], dtype=np.int64).reshape(-1, 2)
+    expected = np.hstack([np.array(ids, dtype=np.int64).reshape(-1, 3), times])
+    assert np.array_equal(kg1.quadruples, expected)
+    assert kg1.entity_count == max(8, int(expected[:, [0, 2]].max(initial=-1)) + 1)
+    assert seeds.pairs == [(7, 0)]
+
+
+@pytest.mark.parametrize("text", PAIR_FILES)
+def test_pair_columns_equal_the_line_parser(tmp_path, text):
+    path = write(tmp_path, "sup_pairs", text)
+    pairs = read_pairs(path)
+    assert pairs.sources.dtype == pairs.targets.dtype == np.int64
+    assert pairs.pairs == oracle_pairs(path)
+
+
+@pytest.mark.parametrize("text", PREDICTION_FILES)
+def test_prediction_columns_equal_the_line_parser(tmp_path, text):
+    path = write(tmp_path, "preds.tsv", text)
+    preds = read_predictions(path)
+    assert preds.scores.dtype == np.float64
+    assert (preds.pairs, preds.scores.tolist()) == oracle_predictions(path)
+
+
+def with_bad_lines(good, bad):
+    """`good` lines with line i replaced by bad[i] for each i in `bad`."""
+    return "\n".join(bad.get(i, line) for i, line in enumerate(good)) + "\n"
+
+
+QUAD_GOOD = [f"{i}\t{i % 3}\t{i + 1}\t{2000 + i}\t{2000 + i}" for i in range(6)]
+PAIR_GOOD = [f"{i}\t{5 - i}" for i in range(6)]
+PREDICTION_GOOD = [f"{i}\t{5 - i}\t0.{i}" for i in range(6)]
+QUAD_BAD = ["0\t0\t1\t5", "0\t0\t1\t5\t5\t5", "a\t0\t1\t5\t5", "0\t1.5\t1\t5\t5",
+            "0\t0\t-1\t5\t5", "-2\tx\t1\t5\t5"]
+PAIR_BAD = ["0", "0\t1\t2", "x\t1", "1\t", "-1\t3", "3\t-2", "0\t5"]
+PREDICTION_BAD = ["0\t1", "0\t1\t0.5\t1", "x\t1\t0.5", "-1\t3\t0.5", "3\t7\tnope",
+                  "3\t7\t", "0\t5\t0.9", "-1\t5\tnope"]
+# positions of the bad lines in one file: the k-th gets the k-th bad line in turn
+BAD_AT = [(0,), (2,), (5,), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("kind,good,bad,parse,oracle", [
+    ("triples_1", QUAD_GOOD, QUAD_BAD, lambda p: _read_columns(p, "iiiss"), oracle_quad_lines),
+    ("sup_pairs", PAIR_GOOD, PAIR_BAD, read_pairs, oracle_pairs),
+    ("preds.tsv", PREDICTION_GOOD, PREDICTION_BAD, read_predictions, oracle_predictions),
+])
+def test_first_bad_line_is_named_like_the_line_parser(tmp_path, kind, good, bad, parse, oracle):
+    """Every bad line kind at several positions, and two bad lines in one
+    file: the reader raises the line parser's error, so the first bad line
+    wins. A line repeating the first good line's pair (0, 5) is a duplicate
+    only where it follows that line."""
+    cases = 0
+    for where in BAD_AT:
+        for first in range(len(bad)):
+            lines = {i: bad[(first + k) % len(bad)] for k, i in enumerate(where)}
+            path = write(tmp_path, kind, with_bad_lines(good, lines))
+            try:
+                oracle(path)
+            except ParseError as exc:
+                expected = str(exc)
+            else:
+                continue  # the repeated pair came first: nothing is wrong
+            with pytest.raises(ParseError) as exc:
+                parse(path)
+            assert re.match(rf".*{kind}:\d+: ", str(exc.value))
+            assert str(exc.value) == expected
+            cases += 1
+    assert cases >= len(BAD_AT) * (len(bad) - 1)
+
+
+@pytest.mark.parametrize("name", ["sup_pairs", "ref_pairs"])
+def test_duplicate_pair_reports_location(tmp_path, name):
+    (tmp_path / "triples_1").write_text("0\t0\t1\t5\t5\n")
+    (tmp_path / "triples_2").write_text("0\t0\t1\t5\t5\n")
+    (tmp_path / name).write_text("0\t0\n1\t1\n\n0\t0\n1\t1\n")
+    with pytest.raises(ParseError, match=rf"{name}:4: duplicate pair \(0, 0\)"):
+        load_dataset(DatasetLayout.from_dir(tmp_path))

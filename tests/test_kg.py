@@ -148,11 +148,11 @@ class TestAlignmentPairSet:
 
     def test_provenance_validated(self):
         with pytest.raises(ValueError, match="provenance"):
-            AlignmentPairSet(pairs=[(0, 0)], provenance=["nope"])
+            AlignmentPairSet(sources=[0], targets=[0], provenance=["nope"])
 
     def test_extended_keeps_provenance(self):
         a = AlignmentPairSet.from_pairs([(0, 0)], provenance="gold")
         b = AlignmentPairSet.from_pairs([(1, 1)], provenance="pseudo")
         c = a.extended(b)
         assert c.pairs == [(0, 0), (1, 1)]
-        assert c.provenance == ["gold", "pseudo"]
+        assert c.provenance.tolist() == ["gold", "pseudo"]

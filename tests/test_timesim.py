@@ -15,7 +15,7 @@ from tkgalign.timesim import (
     time_similarity,
 )
 
-from test_aligner import use_block_rows
+from test_aligner import matrix, use_block_rows
 
 
 def Quadruple(head, relation, tail, time):
@@ -198,6 +198,6 @@ class TestColumnOrder:
         sa, sb = a.submatrix(r, c), b.submatrix(r, c)
         assert all(ia == ib and np.array_equal(xa, xb)
                    for (ia, xa), (ib, xb) in zip(sa.row_blocks(), sb.row_blocks()))
-        emb = SimilarityMatrix(sa.source_ids, sa.target_ids, rng.random((25, 20)), "embedding")
+        emb = matrix(rng.random((25, 20)), "embedding", sa.source_ids, sa.target_ids)
         pa, pb = (predict(csls_rescale(combine(emb, s, 0.3), 4)) for s in (sa, sb))
-        assert (pa.pairs, pa.scores) == (pb.pairs, pb.scores)
+        assert (pa.pairs, pa.scores.tolist()) == (pb.pairs, pb.scores.tolist())

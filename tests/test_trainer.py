@@ -506,8 +506,8 @@ class TestOptimizer:
 
     def test_trajectory_matches_scalar_oracle(self):
         cfg = TrainConfig(learning_rate=0.01, optimizer_decay=0.9, optimizer_epsilon=1e-8)
-        enc = EncoderConfig(dim=1, init_scale=0.0)
-        state = init_embeddings(enc, 1, 1)
+        state = init_embeddings(EncoderConfig(dim=1), 1, 1)
+        state.entity_table[:] = 0.0
         opt = OptimizerState.zeros_like(state)
         rng = np.random.default_rng(5)
         grads = rng.normal(size=10)
@@ -526,7 +526,11 @@ class TestOptimizer:
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", -1),
+        ("epochs", 2.5),
+        ("epochs", True),
         ("negatives_per_pair", 0),
+        ("negatives_per_pair", 5.0),
+        ("rng_seed", 0.5),
         ("optimizer_decay", 1.5),
         ("optimizer_decay", 1.0),
         ("optimizer_decay", -0.1),
