@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EmbeddingState, EncoderConfig, check_int_fields, forward
+from .encoder import EmbeddingState, EncoderConfig, check_field_types, forward
 from .evaluate import RowRanks
 from .kg import AlignmentPairSet, TemporalKG, union_graph
 from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
@@ -27,7 +27,7 @@ class AlignConfig:
     iterations: int = 5
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.csls_k < 1 or self.iterations < 1:
@@ -83,27 +83,79 @@ def combine(emb: ScoreRows, time: ScoreRows, alpha: float) -> BlockedScores:
     return BlockedScores(emb.source_ids, emb.target_ids, rows, "combined")
 
 
-def csls_rescale(sim: ScoreRows, k: int) -> BlockedScores:
+@dataclass
+class CSLSScores(BlockedScores):
+    """The lazy CSLS matrix, plus what its first pass kept of each row and
+    column. That settles the decoders' answers without another pass over the
+    rows whenever `_settled_rows` can prove them."""
+
+    r_src: np.ndarray
+    r_tgt: np.ndarray
+    candidates: np.ndarray  # each row's k best input cells: target positions, ascending
+    candidate_scores: np.ndarray  # and their CSLS scores
+    bound: np.ndarray  # no cell outside row i's candidates scores above bound[i]
+    col_max: np.ndarray  # each column's best 2*s - r_src
+    col_second: np.ndarray  # and its second best, equal to col_max on a tie
+
+
+def _merge_column_tops(top: np.ndarray, block: np.ndarray) -> None:
+    """Merge a block of rows into `top`, a row per column holding its m best
+    values so far (least first), in place. Only entries above their column's
+    least can change it; when few are, only they are merged."""
+    m = top.shape[1]
+    above = block > np.ascontiguousarray(top[:, 0])
+    if np.count_nonzero(above) * 16 > above.size:  # most of the block: merge every column whole
+        del above
+        cols = slice(None)
+        merged = np.hstack([top, block.T])
+    else:
+        r, c = np.divmod(np.flatnonzero(above), block.shape[1])
+        if len(c) == 0:
+            return
+        order = np.argsort(c)
+        r, c = r[order], c[order]
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        per_col = np.diff(np.r_[starts, len(c)])
+        cols = c[starts]
+        merged = np.full((len(cols), m + per_col.max()), -np.inf)
+        merged[:, :m] = top[cols]
+        slot = m + np.arange(len(c)) - np.repeat(starts, per_col)
+        merged[np.repeat(np.arange(len(cols)), per_col), slot] = block[r, c]
+    width = merged.shape[1] - m
+    merged.partition(width, axis=1)
+    top[cols] = merged[:, width:]
+
+
+def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
     """Cross-domain local scaling: score(i,j) <- 2*s(i,j) - r_src(i) - r_tgt(j)
     with r_src(i) the mean of i's k best scores over targets and r_tgt(j) the
     mean of j's k best over sources. k is clamped to the pool size.
 
     One pass over the row blocks finds r_src per block and r_tgt from each
-    column's k best, merged block by block; the rescaled rows are computed
-    again from `sim` whenever they are read."""
+    column's k best, merged block by block and summed in sorted order; the
+    rescaled rows are computed again from `sim` whenever they are read. The
+    same pass keeps each row's k best cells and each column's two best
+    2*s - r_src, from which the decoders settle what they can prove."""
     n_src, n_tgt = sim.shape
     k_row = min(k, n_tgt)
-    k_col = min(k, n_src)
     r_src = np.empty(n_src)
-    col_top = np.full((n_tgt, k_col), -np.inf)  # each column's k best so far
+    candidates = np.empty((n_src, k_row), dtype=np.int64)
+    candidate_scores = np.empty((n_src, k_row))
+    col_top = np.full((n_tgt, min(k, n_src)), -np.inf)  # each column's k best inputs
+    col_best = np.full((n_tgt, 2), -np.inf)  # each column's two best 2*s - r_src
     for start, s in sim.row_blocks():
-        # a row per target column: its k best so far, then this block's scores
-        merged = np.hstack([col_top, s.T])
-        merged.partition(len(s), axis=1)
-        col_top = merged[:, len(s) :].copy()
-        s.partition(n_tgt - k_row, axis=1)  # the block is ours; its columns are used up
-        r_src[start : start + len(s)] = s[:, n_tgt - k_row :].mean(axis=1)
-    r_tgt = col_top.mean(axis=1)
+        rows = slice(start, start + len(s))
+        _merge_column_tops(col_top, s)
+        top = np.argpartition(s, n_tgt - k_row, axis=1)[:, n_tgt - k_row :]
+        r_src[rows] = np.take_along_axis(s, top, axis=1).mean(axis=1)
+        candidates[rows] = top = np.sort(top, axis=1)
+        # the block is ours: it becomes 2*s - r_src by the rescaled rows' ops
+        s *= 2.0
+        s -= r_src[rows, None]
+        _merge_column_tops(col_best, s)
+        candidate_scores[rows] = np.take_along_axis(s, top, axis=1)
+    r_tgt = np.sort(col_top, axis=1).mean(axis=1)
+    col_best.sort(axis=1)
 
     def rows(start: int, stop: int) -> np.ndarray:
         s = sim.rows(start, stop)
@@ -112,26 +164,65 @@ def csls_rescale(sim: ScoreRows, k: int) -> BlockedScores:
         s -= r_tgt
         return s
 
-    return BlockedScores(sim.source_ids, sim.target_ids, rows, sim.kind)
+    if k_row < n_tgt:
+        # any other cell of row i has an input no larger than its least
+        # candidate's, so no larger 2*s - r_src; subtracting r_tgt rounds
+        # monotonically, so it scores at most this
+        bound = candidate_scores.min(axis=1) - r_tgt.min()
+    else:  # every cell is a candidate
+        bound = np.full(n_src, -np.inf)
+    candidate_scores -= r_tgt[candidates]
+    return CSLSScores(
+        sim.source_ids, sim.target_ids, rows, sim.kind, r_src, r_tgt, candidates,
+        candidate_scores, bound, col_best[:, 1], col_best[:, 0],
+    )
+
+
+def _settled_rows(sim: ScoreRows) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each row's best target position (ties toward the smaller), its score
+    and whether no other cell of the row reaches it, from the candidates of a
+    CSLS matrix alone. That is exact when each row's best candidate scores
+    above the row's bound, so no other cell competes; None when a row's does
+    not, or when `sim` carries no candidates."""
+    if not isinstance(sim, CSLSScores) or sim.candidates.shape[1] == 0:
+        return None
+    scores = sim.candidate_scores
+    pick = np.argmax(scores, axis=1)[:, None]  # candidates are in target order
+    best = np.take_along_axis(scores, pick, axis=1)[:, 0]
+    if not (best > sim.bound).all():
+        return None
+    unique = np.count_nonzero(scores == best[:, None], axis=1) == 1
+    return np.take_along_axis(sim.candidates, pick, axis=1)[:, 0], best, unique
 
 
 def predict(sim: ScoreRows) -> AlignmentPairSet:
-    """Row-wise argmax decoding; ties break toward the smaller target index."""
-    best = np.empty(sim.shape[0], dtype=np.int64)
-    scores = np.empty(sim.shape[0])
-    for start, s in sim.row_blocks():
-        j = np.argmax(s, axis=1)
-        best[start : start + len(s)] = j
-        scores[start : start + len(s)] = s[np.arange(len(s)), j]
+    """Row-wise argmax decoding; ties break toward the smaller target index.
+    Settled from a CSLS matrix's candidates when they prove it, else one pass."""
+    settled = _settled_rows(sim)
+    if settled is not None:
+        best, scores, _ = settled
+    else:
+        best = np.empty(sim.shape[0], dtype=np.int64)
+        scores = np.empty(sim.shape[0])
+        for start, s in sim.row_blocks():
+            j = np.argmax(s, axis=1)
+            best[start : start + len(s)] = j
+            scores[start : start + len(s)] = s[np.arange(len(s)), j]
     return AlignmentPairSet(sim.source_ids, np.asarray(sim.target_ids)[best], "prediction", scores)
 
 
 def predict_and_rank(
     sim: ScoreRows, references: AlignmentPairSet
 ) -> tuple[AlignmentPairSet, RowRanks]:
-    """`predict(sim)` and each reference's row rank, from one pass over the
-    row blocks: each block is ranked as `predict` reads it."""
+    """`predict(sim)` and each reference's row rank. Both come from a CSLS
+    matrix's candidates when they prove every prediction and every rank;
+    otherwise from one pass over the row blocks, each block ranked as
+    `predict` reads it."""
     ranked = RowRanks(sim, references)
+    if _settled_rows(sim) is not None and ranked.settle(
+        sim.candidates, sim.candidate_scores, sim.bound
+    ):
+        return predict(sim), ranked
 
     def rows(start: int, stop: int) -> np.ndarray:
         block = sim.rows(start, stop)
@@ -145,11 +236,24 @@ def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     """Pairs (i, j) where j is the unique argmax of row i and i the unique
     argmax of column j. The result is a partial matching.
 
-    Rows are settled block by block; each column keeps its running maximum,
-    the first row that reaches it and how many rows do."""
+    From a CSLS matrix's candidates, when they settle every row: row i's
+    best score must be column j's best 2*s - r_src rescaled, and the
+    column's second best must rescale to less. Otherwise rows are settled
+    block by block; each column keeps its running maximum, the first row
+    that reaches it and how many rows do."""
     n_src, n_tgt = sim.shape
     if n_src == 0 or n_tgt == 0:
         return AlignmentPairSet([], [], "pseudo")
+    src, tgt = np.asarray(sim.source_ids), np.asarray(sim.target_ids)
+    settled = _settled_rows(sim)
+    if settled is not None:
+        row_best, row_max, row_unique = settled
+        i = np.flatnonzero(row_unique)
+        j = row_best[i]
+        top = sim.col_max[j] - sim.r_tgt[j]
+        keep = (row_max[i] == top) & (sim.col_second[j] - sim.r_tgt[j] < top)
+        i, j = i[keep], j[keep]
+        return AlignmentPairSet(src[i], tgt[j], "pseudo", row_max[i])
     row_best = np.empty(n_src, dtype=np.int64)
     row_max = np.empty(n_src)
     row_unique = np.empty(n_src, dtype=bool)
@@ -175,7 +279,6 @@ def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     j = row_best[i]
     keep = (col_ties[j] == 1) & (col_best[j] == i)
     i, j = i[keep], j[keep]
-    src, tgt = np.asarray(sim.source_ids), np.asarray(sim.target_ids)
     return AlignmentPairSet(src[i], tgt[j], "pseudo", row_max[i])
 
 

@@ -8,20 +8,37 @@ concatenates all layers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .kg import TemporalKG
 
 
-def check_int_fields(config) -> None:
-    """Raise ValueError unless every `int` field holds an int or NumPy integer, not a bool."""
+# the values a field of each annotated type accepts; a bool is no number
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+              "a finite number"),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError unless every field holds a value of its annotated
+    type: an `int` field a Python or NumPy integer, a `bool` field a Python
+    or NumPy bool, a `float` field a finite real number, never a bool; an
+    optional (`| None`) field may also hold None."""
     for f in fields(config):
         v = getattr(config, f.name)
-        if f.type in ("int", int) and (isinstance(v, bool) or not isinstance(v, Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        kind = f.type.removesuffix(" | None")
+        if v is None and kind != f.type:
+            continue
+        valid, name = _FIELD_TYPES[kind]
+        if not valid(v):
+            raise ValueError(f"{f.name} must be {name}, got {v!r}")
 
 
 @dataclass
@@ -34,11 +51,11 @@ class EncoderConfig:
     ablate_global_concat: bool = False
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.dim < 1 or self.layers < 1:
             raise ValueError("dim and layers must be >= 1")
-        if self.init_scale is not None and not 0 < self.init_scale < np.inf:
-            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
+        if self.init_scale is not None and self.init_scale <= 0:
+            raise ValueError(f"init_scale must be > 0, got {self.init_scale!r}")
 
 
 @dataclass

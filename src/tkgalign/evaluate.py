@@ -82,6 +82,21 @@ class RowRanks:
         self.truth[mine] = scored[np.arange(len(mine)), self.cols[mine]]
         self.ranks[mine] = (scored >= self.truth[mine, None]).sum(axis=1)
 
+    def settle(self, candidates: np.ndarray, scores: np.ndarray, bound: np.ndarray) -> bool:
+        """Rank every reference among its row's candidates alone: `candidates`
+        holds target positions and `scores` their scores, a row of `sim`
+        each, and no other cell of row i scores above `bound[i]`. That is
+        exact when each truth is a candidate scoring above its row's bound;
+        returns False, and fills nothing, when one is not."""
+        mine, scored = candidates[self.rows], scores[self.rows]
+        hit = mine == self.cols[:, None]
+        truth = scored[np.arange(len(self.rows)), np.argmax(hit, axis=1)]
+        if not (hit.any(axis=1) & (truth > bound[self.rows])).all():
+            return False
+        self.truth[:] = truth
+        self.ranks[:] = (scored >= truth[:, None]).sum(axis=1)
+        return True
+
     def with_columns(self, sim: ScoreRows, bidirectional: bool) -> np.ndarray:
         """The row ranks; with `bidirectional`, followed by each reference's
         rank in its column, counted in one more pass over `sim`."""

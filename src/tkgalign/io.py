@@ -63,10 +63,13 @@ class ParseError(ValueError):
     pass
 
 
+_MAX_ID = int(np.iinfo(np.int64).max)
+
+
 def _first_bad_line(path: Path, lines: list[str], kinds: str, pairs: bool) -> ParseError | None:
     """The error of the first bad line, checked in the order the columns are:
-    field count, integer ids, no negative id, float fields, and with `pairs`
-    no repeat of an earlier line's two ids."""
+    field count, integer ids, no negative id, no id beyond int64, float
+    fields, and with `pairs` no repeat of an earlier line's two ids."""
     n, record, seen = len(kinds), "pair" if pairs else "quadruple", set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -80,6 +83,8 @@ def _first_bad_line(path: Path, lines: list[str], kinds: str, pairs: bool) -> Pa
             return ParseError(f"{path}:{lineno}: non-integer id: {exc}")
         if min(ids) < 0:
             return ParseError(f"{path}:{lineno}: negative id in {record} {ids}")
+        if max(ids) > _MAX_ID:
+            return ParseError(f"{path}:{lineno}: id out of range in {record} {ids}")
         try:
             [float(x) for x, k in zip(row, kinds) if k == "f"]
         except ValueError as exc:
@@ -104,7 +109,8 @@ def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
     columns = None
     if not set(map(str.count, records, repeat("\t"))) - {n - 1}:  # n fields on every line
         fields = "\t".join(records).split("\t") if records else []
-        with suppress(ValueError):  # a field that int() or float() rejects
+        # a field that int() or float() rejects, or an id beyond int64
+        with suppress(ValueError, OverflowError):
             columns = [
                 fields[j::n] if k == "s"
                 else np.array(fields[j::n], dtype=np.int64 if k == "i" else np.float64)

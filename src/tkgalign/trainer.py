@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
-    check_int_fields,
+    check_field_types,
     forward_layers,
     make_dropout_mask,
 )
@@ -39,7 +39,7 @@ class TrainConfig:
     optimizer_epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.margin <= 0 or self.learning_rate <= 0:
             raise ValueError("margin and learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -1,8 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from tkgalign import timesim
 from tkgalign.aligner import (
@@ -129,6 +131,11 @@ class TestAlignConfig:
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             AlignConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.3", float("nan"), float("inf")])
+    def test_alpha_of_the_wrong_type_rejected(self, value):
+        with pytest.raises(ValueError, match="alpha"):
+            AlignConfig(alpha=value)
 
 
 class TestCombine:
@@ -399,6 +406,178 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def counted(scores, **ids):
+    """`matrix(scores)` and the list of the row ranges read from it."""
+    base, reads = matrix(scores, **ids), []
+
+    def rows(start, stop):
+        reads.append((start, stop))
+        return base.rows(start, stop)
+
+    return BlockedScores(base.source_ids, base.target_ids, rows, base.kind), reads
+
+
+def full_pass(sim):
+    """`sim` with no first-pass candidates: every consumer reads its rows."""
+    return BlockedScores(sim.source_ids, sim.target_ids, sim.rows, sim.kind)
+
+
+def planted_pool(shape, seed):
+    """Continuous scores with a clear best target per source row, at shuffled
+    positions: each row's best beats its other cells by far more than the
+    spread of the column means."""
+    rng = np.random.default_rng(seed)
+    s = 0.5 * rng.random(shape)
+    s[np.arange(shape[0]), rng.permutation(shape[1])[: shape[0]]] = 0.9 + 0.1 * rng.random(shape[0])
+    return s
+
+
+class TestSettledScoring:
+    """The decoders answer from what `csls_rescale`'s pass kept when a bound
+    proves it, without reading a row; otherwise they fall back to a full
+    pass. Both match the dense references and each other."""
+
+    def check_against_oracles(self, sim, s, k, exact):
+        src, tgt = sim.source_ids, sim.target_ids
+        expected = dense_csls(s, k)
+        close = (lambda a, b: np.array_equal(a, b)) if exact else (
+            lambda a, b: np.allclose(a, b, atol=1e-12, rtol=0))
+        preds = predict(sim)
+        pairs, scores = dense_predict(expected, src, tgt)
+        assert preds.pairs == pairs and close(preds.scores, scores)
+        pseudo = mutual_nearest_pairs(sim)
+        pairs, scores = dense_mutual(expected, src, tgt)
+        assert pseudo.pairs == pairs and close(pseudo.scores, scores)
+        refs = AlignmentPairSet(src[::2], tgt[np.argmax(s[::2], axis=1)], "gold")
+        ranked_preds, ranked = predict_and_rank(sim, refs)
+        assert ranked_preds.pairs == preds.pairs
+        col = {int(e): j for j, e in enumerate(tgt)}
+        ranks = [rank_of_truth(expected[2 * n], col[b]) for n, (_, b) in enumerate(refs.pairs)]
+        assert ranked.ranks.tolist() == ranks
+        # the settled answers are bit for bit those of a full pass
+        plain = full_pass(sim)
+        assert np.array_equal(preds.scores, predict(plain).scores)
+        assert np.array_equal(pseudo.scores, mutual_nearest_pairs(plain).scores)
+        _, full = predict_and_rank(plain, refs)
+        assert np.array_equal(ranked.truth, full.truth)
+        assert ranked.with_columns(sim, True).tolist() == full.with_columns(plain, True).tolist()
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("shape", [(13, 17), (17, 17), (40, 50)])
+    def test_settled_pools_read_no_row_after_the_first_pass(self, monkeypatch, block, k, shape):
+        s = planted_pool(shape, seed=shape[0] * k)
+        use_block_rows(monkeypatch, block, shape[1])
+        rng = np.random.default_rng(k)
+        blocked, reads = counted(s, source_ids=rng.permutation(shape[0]) + 100,
+                                 target_ids=rng.permutation(shape[1]) + 500)
+        sim = csls_rescale(blocked, k)
+        assert len(reads) == len(range(0, shape[0], block or shape[0]))
+        reads.clear()
+        truth = AlignmentPairSet(sim.source_ids, sim.target_ids[np.argmax(s, axis=1)], "gold")
+        predict(sim), mutual_nearest_pairs(sim), predict_and_rank(sim, truth)
+        assert reads == []
+        self.check_against_oracles(sim, s, k, exact=False)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_a_truth_at_or_below_the_bound_is_ranked_by_a_full_pass(self, monkeypatch, block):
+        # each reference names its row's k-th best input: a candidate whose
+        # score cannot beat the row's bound, so cells outside may outrank it
+        s = planted_pool((40, 50), seed=8)
+        use_block_rows(monkeypatch, block, 50)
+        blocked, reads = counted(s)
+        sim = csls_rescale(blocked, 3)
+        reads.clear()
+        predict(sim)
+        assert reads == []  # the predictions settle
+        kth = np.argsort(-s, axis=1, kind="stable")[:, 2]
+        refs = AlignmentPairSet(np.arange(40), kth, "gold")
+        preds, ranked = predict_and_rank(sim, refs)
+        assert reads  # the ranks do not
+        expected = dense_csls(s, 3)
+        assert ranked.ranks.tolist() == [rank_of_truth(expected[i], kth[i]) for i in range(40)]
+        assert max(ranked.ranks) > 3
+        assert preds.pairs == predict(sim).pairs
+
+    def test_a_hub_column_defeats_the_bound(self, monkeypatch):
+        # column 0 is every row's best input (a hub) and column 1 every
+        # row's worst: r_tgt spreads further than any row's best stands out
+        rng = np.random.default_rng(3)
+        s = 0.2 * rng.random((12, 15))
+        s[:, 0] = 0.9 + 0.05 * rng.random(12)
+        s[:, 1] = -0.8 - 0.05 * rng.random(12)
+        use_block_rows(monkeypatch, 5, 15)
+        blocked, reads = counted(s)
+        sim = csls_rescale(blocked, 2)
+        reads.clear()
+        predict(sim)
+        assert len(reads) == 3  # the full pass
+        self.check_against_oracles(sim, s, 2, exact=False)
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_ties_at_the_kth_value_fall_back(self, monkeypatch, block):
+        # a constant row: its best ties with cells outside its k best
+        s = np.random.default_rng(4).integers(0, 4, size=(9, 11)).astype(float)
+        s[4] = 2.0
+        use_block_rows(monkeypatch, block, 11)
+        blocked, reads = counted(s)
+        sim = csls_rescale(blocked, 3)
+        reads.clear()
+        mutual_nearest_pairs(sim)
+        assert reads  # the full pass
+        self.check_against_oracles(sim, s, 3, exact=True)
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("shape", [(11, 9), (9, 11), (1, 4), (4, 1)])
+    def test_k_at_least_the_pool_settles(self, monkeypatch, block, shape):
+        # small integers: ties everywhere, and every cell is a candidate
+        s = np.random.default_rng(shape[0]).integers(0, 3, size=shape).astype(float)
+        use_block_rows(monkeypatch, block, shape[1])
+        blocked, reads = counted(s)
+        sim = csls_rescale(blocked, 100)
+        reads.clear()
+        predict(sim), mutual_nearest_pairs(sim)
+        assert reads == []
+        self.check_against_oracles(sim, s, 100, exact=True)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_column_best_across_a_block_boundary(self, monkeypatch, block):
+        use_block_rows(monkeypatch, block, 3)
+        # rows 0 and 2 are equal, so column 0's best 2*s - r_src ties across blocks
+        s = np.array([[0.9, 0.1, 0.0], [0.2, 0.3, 0.8], [0.9, 0.1, 0.0]])
+        blocked, reads = counted(s)
+        sim = csls_rescale(blocked, 3)
+        assert mutual_nearest_pairs(sim).pairs == [(1, 2)]
+        # column 0's best in row 0 is replaced by row 2's strictly larger one
+        s = np.array([[0.5, 0.1, 0.0], [0.1, 0.6, 0.0], [0.9, 0.0, 0.1]])
+        sim = csls_rescale(matrix(s), 3)
+        assert sim.col_max[0] == 2 * 0.9 - sim.r_src[2]
+        assert sim.col_second[0] == 2 * 0.5 - sim.r_src[0]
+        assert mutual_nearest_pairs(sim).pairs == [(1, 1), (2, 0)]
+        for scores in (s, np.array([[0.9, 0.1, 0.0], [0.2, 0.3, 0.8], [0.9, 0.1, 0.0]])):
+            assert mutual_nearest_pairs(csls_rescale(matrix(scores), 3)).pairs == dense_mutual(
+                dense_csls(scores, 3), range(3), range(3))[0]
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        k=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_means_do_not_depend_on_the_block_size(self, shape, k, seed, ties):
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, 3, size=shape) / 3.0 if ties else rng.normal(size=shape)
+        means = []
+        for block in (1, 3, 7, None):
+            with mock.patch.object(timesim, "_BLOCK_BYTES",
+                                   timesim._BLOCK_BYTES if block is None else 8 * shape[1] * block):
+                sim = csls_rescale(matrix(s), k)
+            means.append((sim.r_src, sim.r_tgt))
+        for r_src, r_tgt in means[1:]:
+            assert np.array_equal(r_src, means[0][0]) and np.array_equal(r_tgt, means[0][1])
 
 
 @pytest.fixture(scope="module")

@@ -185,6 +185,18 @@ def test_wrong_typed_value_exits_2_before_loading(tmp_path, bench_dir, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("encoder", "ablate_global_concat", "false"), ("train", "margin", "abc"),
+    ("align", "alpha", True),
+])
+def test_value_of_the_wrong_type_exits_2_before_loading(tmp_path, bench_dir, capsys, section,
+                                                        field, value):
+    cfg_path, _ = write_config(tmp_path, bench_dir, **{section: {field: value}})
+    assert main(["align", str(cfg_path)]) == 2
+    assert f"invalid value in [{section}] section: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_nonzero_exit(tmp_path, capsys):
     assert main(["align", str(tmp_path / "absent.yaml")]) == 2
 

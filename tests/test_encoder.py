@@ -101,6 +101,22 @@ class TestEncoderConfig:
     def test_numpy_integers_accepted(self):
         EncoderConfig(dim=np.int64(4), layers=np.int32(1), init_seed=np.uint8(3), init_scale=1e-300)
 
+    @pytest.mark.parametrize("field,value", [
+        ("ablate_relation_fusion", "false"),
+        ("ablate_relation_fusion", 0),
+        ("ablate_global_concat", "false"),
+        ("ablate_global_concat", 1.0),
+        ("init_scale", True),
+        ("init_scale", "0.1"),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(**{field: value})
+
+    def test_numpy_bools_and_floats_accepted(self):
+        config = EncoderConfig(ablate_relation_fusion=np.bool_(True), init_scale=np.float32(0.5))
+        assert config.ablate_relation_fusion and not config.ablate_global_concat
+
 
 class TestFusion:
     def test_isolated_entity(self):

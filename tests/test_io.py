@@ -330,3 +330,18 @@ def test_duplicate_pair_reports_location(tmp_path, name):
     (tmp_path / name).write_text("0\t0\n1\t1\n\n0\t0\n1\t1\n")
     with pytest.raises(ParseError, match=rf"{name}:4: duplicate pair \(0, 0\)"):
         load_dataset(DatasetLayout.from_dir(tmp_path))
+
+
+HUGE = "99999999999999999999"  # above the int64 maximum
+
+
+@pytest.mark.parametrize("kind,text,parse,record", [
+    ("triples_1", f"0\t0\t1\t5\t5\n\n0\t0\t{HUGE}\t2001\t2001\n",
+     lambda p: _read_columns(p, "iiiss"), "quadruple"),
+    ("sup_pairs", f"0\t1\n\n{HUGE}\t2\n", read_pairs, "pair"),
+    ("preds.tsv", f"0\t1\t0.5\n\n3\t{HUGE}\t0.5\n", read_predictions, "pair"),
+])
+def test_id_beyond_int64_reports_location(tmp_path, kind, text, parse, record):
+    path = write(tmp_path, kind, text)
+    with pytest.raises(ParseError, match=rf"{kind}:3: id out of range in {record} \("):
+        parse(path)

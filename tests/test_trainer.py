@@ -545,6 +545,21 @@ class TestTrainConfig:
     def test_boundary_values_accepted(self):
         TrainConfig(epochs=0, negatives_per_pair=1, optimizer_decay=0.0, optimizer_epsilon=1e-300)
 
+    @pytest.mark.parametrize("field,value", [
+        ("margin", float("inf")),
+        ("margin", "abc"),
+        ("learning_rate", True),
+        ("dropout_rate", "0.3"),
+        ("optimizer_decay", np.bool_(False)),
+        ("optimizer_epsilon", float("inf")),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_integer_and_numpy_floats_accepted(self):
+        TrainConfig(margin=3, learning_rate=np.float32(0.01), dropout_rate=np.float64(0.0))
+
 
 def random_union(n_per_side, seed):
     """A random graph pair of `n_per_side` entities each and its union."""
