@@ -5,9 +5,12 @@ nearest pseudo pairs.
 
 Every score stage is read a block of source rows at a time (`row_blocks`),
 and each consumer reduces the blocks as they come, so no stage holds a
-pool x pool matrix."""
+pool x pool matrix. The embedding product of the next block runs on one
+helper thread while the caller reduces the current one."""
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,6 +44,53 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _start_helper() -> None:
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tkgalign-product")
+
+
+# The one thread that runs embedding products: a single worker, so at most one
+# BLAS call is ever in flight. Its thread starts on the first product; a forked
+# child, which inherits no thread, gets a fresh executor.
+_start_helper()
+os.register_at_fork(after_in_child=_start_helper)
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b.T written into `out`: all the helper thread ever runs."""
+    return np.matmul(a, b.T, out=out)
+
+
+class _ReadAhead:
+    """`rows(start, stop)` of the cosine scores, a[start:stop] @ b.T.
+
+    Every product runs on the helper thread, into a buffer allocated by the
+    caller. Serving [start, stop) hands the helper the next block of the same
+    height, which it computes while the caller reduces this one; the last
+    block reads nothing ahead. A request for any other block waits out the
+    product in flight and discards it, with any error it raised, then
+    submits its own. One thread reads a given instance."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        self.a, self.b = a, b
+        self.ahead: tuple[int, int, Future] | None = None
+
+    def _submit(self, start: int, stop: int) -> tuple[int, int, Future]:
+        a = self.a[start:stop]
+        out = np.empty((len(a), len(self.b)))
+        return start, stop, _HELPER.submit(_product, a, self.b, out)
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        ahead, self.ahead = self.ahead, None
+        if ahead is None or ahead[:2] != (start, stop):
+            if ahead is not None:
+                wait([ahead[2]])
+            ahead = self._submit(start, stop)
+        if start < stop < len(self.a):
+            self.ahead = self._submit(stop, min(2 * stop - start, len(self.a)))
+        return ahead[2].result()
+
+
 def embedding_similarity(
     global1: np.ndarray,
     global2: np.ndarray,
@@ -48,12 +98,17 @@ def embedding_similarity(
     target_ids: Sequence[int],
 ) -> BlockedScores:
     """Cosine similarity between selected rows of the two graphs' embedding
-    matrices. Zero-norm rows yield all-zero similarities."""
+    matrices. Zero-norm rows yield all-zero similarities. Each block's
+    product is computed ahead on the helper thread (`_ReadAhead`)."""
     src = np.asarray(source_ids, dtype=np.int64)
     tgt = np.asarray(target_ids, dtype=np.int64)
     a = _normalize_rows(np.asarray(global1, dtype=np.float64)[src])
     b = _normalize_rows(np.asarray(global2, dtype=np.float64)[tgt])
-    return BlockedScores(src, tgt, lambda start, stop: a[start:stop] @ b.T, "embedding")
+    return BlockedScores(src, tgt, _ReadAhead(a, b), "embedding")
+
+
+# rows of time scores densified at a time to be mixed into an embedding block
+_MIX_ROWS = 32
 
 
 def combine(emb: ScoreRows, time: ScoreRows, alpha: float) -> BlockedScores:
@@ -75,9 +130,11 @@ def combine(emb: ScoreRows, time: ScoreRows, alpha: float) -> BlockedScores:
         def rows(start: int, stop: int) -> np.ndarray:
             mixed = emb.rows(start, stop)
             mixed *= 1.0 - alpha
-            weighted = time.rows(start, stop)
-            weighted *= alpha
-            mixed += weighted
+            for lo in range(start, stop, _MIX_ROWS):
+                hi = min(lo + _MIX_ROWS, stop)
+                weighted = time.rows(lo, hi)
+                weighted *= alpha
+                mixed[lo - start : hi - start] += weighted
             return mixed
 
     return BlockedScores(emb.source_ids, emb.target_ids, rows, "combined")
@@ -126,6 +183,13 @@ def _merge_column_tops(top: np.ndarray, block: np.ndarray) -> None:
     top[cols] = merged[:, width:]
 
 
+def _check_sides(sim: ScoreRows) -> None:
+    """Raise ValueError naming each empty side of the pool."""
+    empty = [side for side, n in zip(("sources", "targets"), sim.shape) if n == 0]
+    if empty:
+        raise ValueError(f"the pool has no {' and no '.join(empty)}")
+
+
 def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
     """Cross-domain local scaling: score(i,j) <- 2*s(i,j) - r_src(i) - r_tgt(j)
     with r_src(i) the mean of i's k best scores over targets and r_tgt(j) the
@@ -135,7 +199,9 @@ def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
     column's k best, merged block by block and summed in sorted order; the
     rescaled rows are computed again from `sim` whenever they are read. The
     same pass keeps each row's k best cells and each column's two best
-    2*s - r_src, from which the decoders settle what they can prove."""
+    2*s - r_src, from which the decoders settle what they can prove.
+    Raises ValueError when the pool has no sources or no targets."""
+    _check_sides(sim)
     n_src, n_tgt = sim.shape
     k_row = min(k, n_tgt)
     r_src = np.empty(n_src)
@@ -197,7 +263,9 @@ def _settled_rows(sim: ScoreRows) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
 
 def predict(sim: ScoreRows) -> AlignmentPairSet:
     """Row-wise argmax decoding; ties break toward the smaller target index.
-    Settled from a CSLS matrix's candidates when they prove it, else one pass."""
+    Settled from a CSLS matrix's candidates when they prove it, else one pass.
+    Raises ValueError when the pool has no sources or no targets."""
+    _check_sides(sim)
     settled = _settled_rows(sim)
     if settled is not None:
         best, scores, _ = settled

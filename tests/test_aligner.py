@@ -1,4 +1,9 @@
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,9 +11,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from tkgalign import timesim
+from tkgalign import aligner, timesim
 from tkgalign.aligner import (
     AlignConfig,
+    _normalize_rows,
     combine,
     csls_rescale,
     embedding_similarity,
@@ -18,7 +24,8 @@ from tkgalign.aligner import (
     predict_and_rank,
 )
 from tkgalign.encoder import EncoderConfig, init_embeddings
-from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
+from tkgalign.cli import run_alignment
+from tkgalign.evaluate import RowRanks, _ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
@@ -120,6 +127,114 @@ class TestEmbeddingSimilarity:
                 assert sim.dense[i, j] == pytest.approx(expected, abs=1e-10)
 
 
+def cosine_pool(shape, seed=0):
+    """`embedding_similarity` over random embeddings, with the normalised
+    rows whose product each block must equal."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = rng.normal(size=(shape[0], 6)), rng.normal(size=(shape[1], 6))
+    sim = embedding_similarity(g1, g2, range(shape[0]), range(shape[1]))
+    return sim, _normalize_rows(g1), _normalize_rows(g2)
+
+
+def check_pass(sim, a, b):
+    """One pass over `sim`, each block compared with its product; the starts."""
+    starts = []
+    for start, block in sim.row_blocks():
+        starts.append(start)
+        assert np.array_equal(block, a[start : start + len(block)] @ b.T)
+    return starts
+
+
+class TestReadAhead:
+    """Each block's product is computed ahead on the one helper thread and
+    must equal `a[start:stop] @ b.T` bit for bit, whatever the request order."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_blocks_equal_the_product(self, monkeypatch, block):
+        sim, a, b = cosine_pool((23, 11))
+        use_block_rows(monkeypatch, block, 11)
+        assert check_pass(sim, a, b) == list(range(0, 23, block or 23))
+
+    @pytest.mark.parametrize("requests", [
+        [(0, 3), (0, 3), (3, 6), (3, 6), (6, 9)],  # repeated
+        [(9, 12), (0, 3), (21, 23), (20, 23), (3, 6), (6, 9), (0, 23), (5, 6)],  # out of order
+        [(0, 7), (7, 14), (14, 21), (21, 23), (0, 7), (7, 14)],  # two passes, the last block short
+        [(4, 4), (4, 5), (5, 6), (22, 23), (0, 1)],  # empty, single and last rows
+    ])
+    def test_any_request_order_equals_the_product(self, requests):
+        sim, a, b = cosine_pool((23, 11))
+        for start, stop in requests:
+            assert np.array_equal(sim.rows(start, stop), a[start:stop] @ b.T)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_a_pass_broken_off_then_a_fresh_pass(self, monkeypatch, block):
+        sim, a, b = cosine_pool((23, 11))
+        other, a2, b2 = cosine_pool((23, 11), seed=1)
+        use_block_rows(monkeypatch, block, 11)
+        passes = sim.row_blocks()
+        next(passes)  # leaves the second block in flight
+        del passes
+        for pool in ((other, a2, b2), (sim, a, b), (sim, a, b)):
+            assert check_pass(*pool) == list(range(0, 23, block or 23))
+
+    def test_at_most_one_product_in_flight(self, monkeypatch):
+        product, lock = aligner._product, threading.Lock()
+        in_flight, most, calls = [0], [0], [0]
+
+        def counted(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                calls[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            time.sleep(0.001)
+            try:
+                return product(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(aligner, "_product", counted)
+        use_block_rows(monkeypatch, 2, 11)
+        pools = [cosine_pool((23, 11), seed) for seed in range(6)]
+        # two passes interleaved block by block on this thread ...
+        (s0, a0, b0), (s1, a1, b1) = pools[:2]
+        for (i, x), (j, y) in zip(s0.row_blocks(), s1.row_blocks()):
+            assert np.array_equal(x, a0[i : i + 2] @ b0.T)
+            assert np.array_equal(y, a1[j : j + 2] @ b1.T)
+        # ... and four more passes from four threads at once, more than the cores
+        errors = []
+
+        def guarded(pool):
+            try:
+                check_pass(*pool)
+            except AssertionError as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=guarded, args=(pool,)) for pool in pools[2:]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert calls[0] >= 6 * 12 and most[0] == 1
+
+    def test_a_forked_child_gets_its_own_helper(self):
+        sim, a, b = cosine_pool((23, 11))
+        list(sim.row_blocks())  # the helper thread of this process is running
+        child = multiprocessing.get_context("fork").Process(target=check_pass, args=(sim, a, b))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
 class TestAlignConfig:
     @pytest.mark.parametrize("field,value", [
         ("alpha", 1.5),
@@ -217,6 +332,23 @@ class TestPredict:
         preds = predict(matrix(s))
         for row, (src, tgt) in enumerate(preds.pairs):
             assert tgt == int(np.argmax(s[row]))
+
+
+class TestEmptyPool:
+    """A pool with no sources or no targets has no CSLS means and no
+    argmax: both say which side is empty, without a numpy warning."""
+
+    @pytest.mark.parametrize("shape,side", [
+        ((3, 0), "no targets"), ((0, 3), "no sources"), ((0, 0), "no sources and no targets"),
+    ])
+    def test_csls_and_predict_name_the_empty_side(self, shape, side):
+        sim = matrix(np.zeros(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=side):
+                csls_rescale(sim, 3)
+            with pytest.raises(ValueError, match=side):
+                predict(sim)
 
 
 class TestMutualNearest:
@@ -581,13 +713,17 @@ class TestSettledScoring:
 
 
 @pytest.fixture(scope="module")
-def tiny_benchmark(tmp_path_factory):
+def tiny_layout(tmp_path_factory):
     params = SynthParams(
         entities=60, relations=4, timestamps=15, quads_per_entity=5,
         edge_noise=0.05, time_noise=0.05, seed_pairs=10, rng_seed=5,
     )
-    layout = write_benchmark(make_benchmark(params), tmp_path_factory.mktemp("bench"))
-    kg1, kg2, _, seeds, refs = load_dataset(layout)
+    return write_benchmark(make_benchmark(params), tmp_path_factory.mktemp("bench"))
+
+
+@pytest.fixture(scope="module")
+def tiny_benchmark(tiny_layout):
+    kg1, kg2, _, seeds, refs = load_dataset(tiny_layout)
     tm = build_time_similarity_matrix(build_time_dictionary(kg1), build_time_dictionary(kg2))
     return kg1, kg2, seeds, refs, tm
 
@@ -655,3 +791,44 @@ class TestIterate:
         with pytest.raises(FloatingPointError, match="iteration 1"):
             iterate(state, kg1, kg2, seeds, enc, TrainConfig(epochs=2),
                     AlignConfig(iterations=2), tm, references=refs)
+
+
+class TestScoringThread:
+    def test_traced_scoring_runs_on_the_main_thread(self, tiny_layout, tmp_path, monkeypatch):
+        """Only the embedding products run on the helper thread; every
+        function a tracer wraps, and the rank reducer, run on the main one."""
+        monkeypatch.setattr(timesim, "_BLOCK_BYTES", 8)  # one row per block
+        seen, rows = {}, []
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.current_thread())
+                if name == "csls_rescale":
+                    rows.append(args[0].shape[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [m for n, m in sys.modules.items() if n.startswith("tkgalign")]
+        entry_points = [(aligner, n) for n in ("embedding_similarity", "combine", "csls_rescale",
+                                               "mutual_nearest_pairs", "predict", "_product")]
+        entry_points += [(sys.modules["tkgalign.evaluate"], "evaluate"),
+                         (sys.modules["tkgalign.encoder"], "forward")]
+        for module, name in entry_points:
+            fn = getattr(module, name)
+            for m in modules:
+                if getattr(m, name, None) is fn:
+                    monkeypatch.setattr(m, name, wrap(name, fn))
+        monkeypatch.setattr(RowRanks, "update", wrap("RowRanks.update", RowRanks.update))
+        # k = 1 settles no row, so the decoders and the ranks read every pool again
+        cfg = {"dataset": str(tiny_layout.quads1.parent),
+               "encoder": {"dim": 16, "layers": 2, "init_seed": 0},
+               "train": {"epochs": 5, "rng_seed": 0},
+               "align": {"iterations": 2, "csls_k": 1}}
+        run_alignment(cfg, tmp_path)
+        main = threading.main_thread()
+        assert len(rows) == 3 and min(rows) >= 3
+        assert main not in seen.pop("_product")
+        assert set(seen) == {"embedding_similarity", "combine", "csls_rescale",
+                             "mutual_nearest_pairs", "predict", "evaluate", "forward",
+                             "RowRanks.update"}
+        assert all(threads == {main} for threads in seen.values())
