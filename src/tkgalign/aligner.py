@@ -361,17 +361,15 @@ class IterationResult:
 
 
 def _scored_similarity(
-    state: EmbeddingState,
-    union_kg: TemporalKG,
+    g: np.ndarray,
     n1: int,
-    enc_config: EncoderConfig,
     align_config: AlignConfig,
     time_matrix: SimilarityMatrix,
     source_ids: np.ndarray,
     target_ids: np.ndarray,
 ) -> BlockedScores:
-    """Combined + CSLS-rescaled similarity restricted to the given pools."""
-    g = forward(state, union_kg, enc_config)
+    """Combined + CSLS-rescaled similarity of the union embedding `g`,
+    restricted to the given pools."""
     emb = embedding_similarity(g[:n1], g[n1:], source_ids, target_ids)
     mixed = combine(emb, time_matrix.submatrix(source_ids, target_ids), align_config.alpha)
     return csls_rescale(mixed, align_config.csls_k)
@@ -415,6 +413,7 @@ def iterate(
     losses: list[float] = []
 
     for it in range(1, align_config.iterations + 1):
+        g = None  # the union embedding of the current tables, once scoring computes it
         losses += train_on_union(
             state, union, (n1, kg2.entity_count), pool, enc_config, train_config, rng
         )
@@ -427,9 +426,8 @@ def iterate(
         rest_tgt = np.setdiff1d(np.arange(kg2.entity_count), pool.targets)
         added = 0
         if len(rest_src) and len(rest_tgt):
-            sim = _scored_similarity(
-                state, union, n1, enc_config, align_config, time_matrix, rest_src, rest_tgt
-            )
+            g = forward(state, union, enc_config)
+            sim = _scored_similarity(g, n1, align_config, time_matrix, rest_src, rest_tgt)
             pseudo = mutual_nearest_pairs(sim)
             added = len(pseudo)
             if added:
@@ -447,9 +445,9 @@ def iterate(
     similarity = ranked = None
     predictions = AlignmentPairSet([], [], "prediction")
     if len(pred_src) and len(pred_tgt):
-        similarity = _scored_similarity(
-            state, union, n1, enc_config, align_config, time_matrix, pred_src, pred_tgt
-        )
+        # the last iteration's embedding, unless it scored nothing
+        g = forward(state, union, enc_config) if g is None else g
+        similarity = _scored_similarity(g, n1, align_config, time_matrix, pred_src, pred_tgt)
         if references is not None and len(references):
             predictions, ranked = predict_and_rank(similarity, references)
         else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kg import TemporalKG
 
@@ -105,28 +106,58 @@ def make_dropout_mask(
     return mask
 
 
+def _rows_only(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """`op` with every row outside `rows` (sorted, distinct ids) emptied. A
+    kept row has the same entries in the same order, so a product computes
+    the same sums at `rows` and 0 elsewhere. The result keeps all the rows,
+    so the product has the same size in every call and the heap does not
+    fragment over a training run."""
+    kept = op[rows]
+    indptr = np.zeros(op.shape[0] + 1, dtype=kept.indptr.dtype)
+    indptr[rows + 1] = np.diff(kept.indptr)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((kept.data, kept.indices, indptr), shape=op.shape)
+
+
 def fuse_features(
-    state: EmbeddingState, kg: TemporalKG, config: EncoderConfig, *, out: np.ndarray | None = None
+    state: EmbeddingState,
+    kg: TemporalKG,
+    config: EncoderConfig,
+    *,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Layer-1 features: [mean neighbor embedding || mean relation embedding]
-    per entity, width 2d, written into `out` when given. Entities with no
+    per entity, width 2d, written into `out` when given; with `rows` (sorted
+    entity ids), at those entities only and 0 elsewhere. Entities with no
     incident relations get a zero relational half. With
     ablate_relation_fusion the relational half is a second copy of the
     structural half (width preserved)."""
     d = state.dim
+    mean, relation = kg.mean_operator, kg.relation_operator
+    if rows is not None:
+        mean, relation = _rows_only(mean, rows), _rows_only(relation, rows)
     out = np.empty((kg.entity_count, 2 * d)) if out is None else out
-    out[:, :d] = kg.mean_operator @ state.entity_table
+    out[:, :d] = mean @ state.entity_table
     if config.ablate_relation_fusion:
         out[:, d:] = out[:, :d]
     else:
-        out[:, d:] = kg.relation_operator @ state.relation_table
+        out[:, d:] = relation @ state.relation_table
     return out
 
 
-def aggregate_layer(prev: np.ndarray, kg: TemporalKG, *, out: np.ndarray | None = None) -> np.ndarray:
+def aggregate_layer(
+    prev: np.ndarray,
+    kg: TemporalKG,
+    *,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
     """One aggregation step: rectified neighborhood mean of the previous
-    layer's rows (self included), written into `out` when given."""
-    return np.maximum(kg.mean_operator @ prev, 0.0, out=out)
+    layer's rows (self included), written into `out` when given; with
+    `rows` (sorted entity ids), at those entities only and 0 elsewhere."""
+    mean = kg.mean_operator if rows is None else _rows_only(kg.mean_operator, rows)
+    return np.maximum(mean @ prev, 0.0, out=out)
 
 
 def forward_layers(
@@ -136,21 +167,25 @@ def forward_layers(
     dropout_mask: np.ndarray | None = None,
     *,
     out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """All layer outputs side by side in one entity_count x 2*d*layers array
     (`out` when given): layer l fills columns [2*d*l, 2*d*(l+1)), starting
     with the (optionally dropout-masked) fused layer; the mask applies to the
-    fused features only."""
+    fused features only. With `rows` (sorted entity ids) the last layer is
+    computed at those entities only and is 0 elsewhere."""
     d = state.dim
     width = 2 * d
     out = np.empty((kg.entity_count, width * config.layers)) if out is None else out
-    h = fuse_features(state, kg, config, out=out[:, :width])
+    last = out.shape[1] - width
+    h = fuse_features(state, kg, config, out=out[:, :width], rows=None if last else rows)
     if dropout_mask is not None:
         h *= dropout_mask
     # aggregation is column-wise, so each d-wide half of a layer comes from
     # the same half of the previous layer (smaller temporaries than a layer)
     for c in range(width, out.shape[1], d):
-        aggregate_layer(out[:, c - width : c - width + d], kg, out=out[:, c : c + d])
+        aggregate_layer(out[:, c - width : c - width + d], kg, out=out[:, c : c + d],
+                        rows=rows if c >= last else None)
     return out
 
 

@@ -116,7 +116,9 @@ class TemporalKG:
 
     @property
     def mean_operator_t(self) -> sp.csr_matrix:
-        """Transpose of `mean_operator` in CSR form, for the backward pass."""
+        """Transpose of `mean_operator` in CSR form, with sorted indices: row
+        i adds M[j, i] x[j] over ascending j. The backward pass's restricted
+        products add the same terms in the same order."""
         if self._mean_operator_t is None:
             self._mean_operator_t = self.mean_operator.T.tocsr()
         return self._mean_operator_t

@@ -9,6 +9,7 @@ applied with an RMSProp update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,75 +131,155 @@ def compute_gradients(
     routing), rectifier (gate on forward positivity), neighborhood means
     (transpose of the sparse mean operators), and the dropout scaling.
     `layers_out` is `forward_layers`' output buffer, for reuse across epochs.
+    The backward pass runs over the rows that carry gradient only, and the
+    last layer is computed at the batch's entities only.
     """
-    layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out)
-    g = layers[:, -2 * state.dim :] if enc_config.ablate_global_concat else layers
-
     # score each distinct positive pair once (`inv` maps triplets to it),
-    # then every negative; row k of `pair_diff` is e(src_k) - e(tgt_k)
-    n = g.shape[0]
+    # then every negative; pair k's difference is e(src_k) - e(tgt_k)
+    n = union_kg.entity_count
     keys, inv = np.unique(batch.pos_src * n + batch.pos_tgt, return_inverse=True)
     src = np.concatenate([keys // n, batch.neg_src])
     tgt = np.concatenate([keys % n, batch.neg_tgt])
     m = len(src)
-    pair_diff = sp.csr_matrix(
-        (np.tile([1.0, -1.0], m), np.column_stack([src, tgt]).ravel(), np.arange(0, 2 * m + 1, 2)),
-        shape=(m, n),
-    )
-    diff = pair_diff @ g
-    # distances, then signs over the differences, in row blocks through one
-    # small scratch (np.sign in place is several times slower than into it)
+    layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out,
+                            rows=_marked(n, src, tgt))
+    g = layers[:, -2 * state.dim :] if enc_config.ablate_global_concat else layers
+
+    # distances in row blocks through two small scratch arrays (np.take into
+    # `out` is unbuffered with mode="clip"); no view of them outlives a loop
+    d = state.dim
+    block = max(1, _HINGE_BLOCK_BYTES // (8 * g.shape[1]))
+    scratch = np.empty((2, min(block, m), g.shape[1]))
     dist = np.empty(m)
-    rows = max(1, _HINGE_BLOCK_BYTES // (8 * diff.shape[1]))
-    scratch = np.empty((min(rows, m), diff.shape[1]))
-    for start in range(0, m, rows):  # no view of diff or scratch outlives the loop
-        stop = min(start + rows, m)
-        np.abs(diff[start:stop], out=scratch[: stop - start]).sum(axis=1, out=dist[start:stop])
-        diff[start:stop] = np.sign(diff[start:stop], out=scratch[: stop - start])
-    del scratch
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        np.abs(_pair_diff(g, src[start:stop], tgt[start:stop], scratch),
+               out=scratch[1, : stop - start]).sum(axis=1, out=dist[start:stop])
     slack = dist[inv] - dist[len(keys) :] + train_config.margin
     active = slack > 0
     loss = float(slack[active].sum())
 
-    # d_global = C @ sign(diff) with the signed incidence C = pair_diff^T W.
     # W weighs a positive pair by its number of active hinges and an active
-    # negative by -1; inactive rows get 0 and drop out of C. All terms are
-    # small integers, so the sums are exact in any order.
+    # negative by -1. Only the live pairs (weight != 0) have a gradient.
+    # Their signs are kept one d-wide column block at a time, so that the
+    # gradient of each block is one product; the blocks have room for every
+    # pair, so the array has the same size in every epoch.
     weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
-    incidence = pair_diff.T @ sp.diags(weight.astype(np.float64))
-    d_global = incidence @ diff
-    del diff
+    live = np.flatnonzero(weight)
+    src, tgt = src[live], tgt[live]
+    k = len(live)
+    signs = np.empty((g.shape[1] // d, m, d))
+    for start in range(0, k, block):
+        stop = min(start + block, k)
+        diff = _pair_diff(g, src[start:stop], tgt[start:stop], scratch)
+        np.sign(diff.reshape(stop - start, -1, d).swapaxes(0, 1), out=signs[:, start:stop])
+        del diff
+    del scratch
 
-    # backward in place, last layer first: layer l's gradient (its column
-    # slice of d_global) is gated by its forward positivity and carried
-    # through the transposed mean into layer l-1's slice, one d-wide half at
-    # a time. Under ablate_global_concat d_global holds the last layer only,
-    # and an earlier layer's gradient is the carried term alone.
-    d = state.dim
-    w = 2 * d
-    op_t = union_kg.mean_operator_t
-    d_run = d_global[:, -w:]
-    for l in range(enc_config.layers - 1, 0, -1):
-        d_run *= layers[:, l * w : (l + 1) * w] > 0
-        if enc_config.ablate_global_concat:
-            d_run = op_t @ d_run
-        else:
-            for c in range(l * w, (l + 1) * w, d):
-                d_global[:, c - w : c - w + d] += op_t @ d_global[:, c : c + d]
-            d_run = d_global[:, (l - 1) * w : l * w]
+    # the gradient of column block b is C @ signs[b] with the signed
+    # incidence C = pair_diff^T W over the live pairs; it is 0 outside their
+    # endpoints, the hot rows. All terms are small integers, so the sums are
+    # exact in any order.
+    signed = np.repeat(weight[live].astype(np.float64), 2)
+    signed[1::2] *= -1.0
+    incidence = sp.csr_matrix(
+        (signed, np.column_stack([src, tgt]).ravel(), np.arange(0, 2 * k + 1, 2)), shape=(k, n)
+    ).T
+    del signed, live
 
-    if dropout_mask is not None:
-        d_run *= dropout_mask
+    def scattered(b: int) -> np.ndarray:
+        return incidence @ signs[b, :k]
 
-    d_ent_half = d_run[:, :d]
-    d_rel_half = d_run[:, d:]
+    # Backward, last layer first, over the rows that carry gradient. Layer
+    # l's gradient is 0 outside its row set, which starts at the hot rows:
+    # it is gated by the layer's forward positivity there and carried
+    # through the transposed mean of those rows, M[rows].T, which reaches
+    # one hop further, into layer l-1's row set. With the global concat,
+    # layer l-1's scattered block is added to the carried term.
+    # mean_operator_t has sorted indices, so its row i adds M[j, i] x[j] over
+    # ascending j; M[rows].T over ascending rows adds the same terms in the
+    # same order and drops only those of x[j] = +-0, which never change a
+    # sum that starts at +0.
+    mean = union_kg.mean_operator
+    row_sets = [_marked(n, src, tgt)]
+    carries = []
+    for _ in range(enc_config.layers - 1):
+        carries.append(mean[row_sets[-1]].T)
+        row_sets.append(_marked(n, carries[-1].indices))
+    rows = row_sets[-1]
+
+    args = (layers, scattered, row_sets, carries, dropout_mask, enc_config)
+    d_rel_half = _half_gradient(d, *args)
     if enc_config.ablate_relation_fusion:
-        d_ent_half += d_rel_half
         grad_rel = np.zeros_like(state.relation_table)
     else:
-        grad_rel = union_kg.relation_operator.T @ d_rel_half
-    grad_ent = op_t @ d_ent_half
+        grad_rel = union_kg.relation_operator[rows].T @ d_rel_half
+        d_rel_half = None
+    d_ent_half = _half_gradient(0, *args)
+    if d_rel_half is not None:
+        d_ent_half += d_rel_half
+    grad_ent = mean[rows].T @ d_ent_half
     return loss, grad_ent, grad_rel
+
+
+def _pair_diff(g: np.ndarray, src: np.ndarray, tgt: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """g[src] - g[tgt] in the first len(src) rows of scratch[0], with
+    scratch[1] as the second operand. It is bit for bit the product of the
+    signed pair incidence with g, but for the sign of a zero, which neither
+    a distance nor a sum of signs sees."""
+    rows = len(src)
+    a = np.take(g, src, axis=0, out=scratch[0, :rows], mode="clip")
+    return np.subtract(a, np.take(g, tgt, axis=0, out=scratch[1, :rows], mode="clip"), out=a)
+
+
+def _half_gradient(
+    half: int,
+    layers: np.ndarray,
+    scattered: Callable[[int], np.ndarray],
+    row_sets: list[np.ndarray],
+    carries: list[sp.csc_matrix],
+    dropout_mask: np.ndarray | None,
+    enc_config: EncoderConfig,
+) -> np.ndarray:
+    """The fused layer's gradient in the d columns from `half` of each layer,
+    at `row_sets[-1]`; `scattered(b)` is the hinge gradient of column block
+    b of the global embedding. It runs compacted to the front of one
+    entity-sized buffer, and a carried product, once compacted, is the spare
+    buffer of the next gate or of the dropout mask. Every buffer has the
+    same size in every epoch, so each epoch reuses the heap chunks of the
+    last one instead of fragmenting the heap."""
+    n, d = layers.shape[0], enc_config.dim
+    w = 2 * d
+    x = np.empty((n, d))
+    spare = np.empty((n, d))
+    hot = row_sets[0]
+    last = enc_config.layers - 1
+    block = half // d + (0 if enc_config.ablate_global_concat else 2 * last)
+    np.take(scattered(block), hot, axis=0, out=x[: len(hot)], mode="clip")
+    for step, carry_t in enumerate(carries):
+        l = last - step
+        at, reach = row_sets[step], row_sets[step + 1]
+        gate = np.take(layers[:, l * w + half : l * w + half + d], at, axis=0,
+                       out=spare[: len(at)], mode="clip")
+        x[: len(at)] *= np.greater(gate, 0.0, out=gate)
+        del gate, spare
+        spare = carry_t @ x[: len(at)]
+        if not enc_config.ablate_global_concat:
+            spare += scattered(block - 2 * (step + 1))
+        np.take(spare, reach, axis=0, out=x[: len(reach)], mode="clip")
+    x = x[: len(row_sets[-1])]
+    if dropout_mask is not None:
+        x *= np.take(dropout_mask[:, half : half + d], row_sets[-1], axis=0,
+                     out=spare[: len(x)], mode="clip")
+    return x
+
+
+def _marked(n: int, *ids: np.ndarray) -> np.ndarray:
+    """The distinct ids among `ids`, ascending, all in [0, n)."""
+    seen = np.zeros(n, dtype=bool)
+    for x in ids:
+        seen[x] = True
+    return np.flatnonzero(seen)
 
 
 def optimizer_step(

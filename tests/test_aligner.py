@@ -15,6 +15,7 @@ from tkgalign import aligner, timesim
 from tkgalign.aligner import (
     AlignConfig,
     _normalize_rows,
+    _scored_similarity,
     combine,
     csls_rescale,
     embedding_similarity,
@@ -23,11 +24,11 @@ from tkgalign.aligner import (
     predict,
     predict_and_rank,
 )
-from tkgalign.encoder import EncoderConfig, init_embeddings
+from tkgalign.encoder import EncoderConfig, forward, init_embeddings
 from tkgalign.cli import run_alignment
 from tkgalign.evaluate import RowRanks, _ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
-from tkgalign.kg import AlignmentPairSet
+from tkgalign.kg import AlignmentPairSet, union_graph
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
 from tkgalign.timesim import (
     BlockedScores,
@@ -772,6 +773,19 @@ class TestIterate:
         result, refs = run_iterate(tiny_benchmark, iterations=2)
         assert result.predictions.pairs == predict(result.similarity).pairs
         assert np.array_equal(result.reference_ranks.ranks, _ranks(result.similarity, refs, False))
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_final_pass_reuses_the_last_embedding(self, tiny_benchmark, monkeypatch, iterations):
+        calls = []
+        monkeypatch.setattr(aligner, "forward", lambda *a: calls.append(1) or forward(*a))
+        result, refs = run_iterate(tiny_benchmark, iterations=iterations)
+        assert len(calls) == iterations
+        kg1, _, _, _, tm = tiny_benchmark
+        g = forward(result.state, union_graph(*tiny_benchmark[:2]), EncoderConfig(dim=16, layers=2))
+        expected = _scored_similarity(g, kg1.entity_count, AlignConfig(alpha=0.3), tm,
+                                      np.unique(refs.sources), np.unique(refs.targets))
+        assert np.array_equal(result.similarity.rows(0, expected.shape[0]),
+                              expected.rows(0, expected.shape[0]))
 
     def test_empty_seeds_rejected(self, tiny_benchmark):
         kg1, kg2, _, refs, tm = tiny_benchmark

@@ -311,3 +311,24 @@ class TestForward:
         assert forward_layers(st, kg, cfg, mask, out=out) is out
         assert np.array_equal(out, np.hstack(expected))
         assert np.array_equal(forward(st, kg, cfg, mask), global_embedding(expected, concat))
+
+    # every combination of 1-3 layers, dropout and the two ablations
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True)])
+    def test_last_layer_at_rows_only(self, layers, dropout, fusion, concat):
+        rng = np.random.default_rng(30 + layers)
+        kg = random_kg(rng)
+        cfg = EncoderConfig(dim=3, layers=layers, init_seed=layers,
+                            ablate_relation_fusion=fusion, ablate_global_concat=concat)
+        st = init_embeddings(cfg, 15, 4)
+        mask = make_dropout_mask(rng, (15, 6), 0.4) if dropout else None
+        rows = np.array([0, 3, 4, 9, 14])
+        full = forward_layers(st, kg, cfg, mask)
+        out = np.full((15, 6 * layers), np.nan)
+        assert forward_layers(st, kg, cfg, mask, out=out, rows=rows) is out
+        assert np.array_equal(out[:, :-6], full[:, :-6])
+        assert np.array_equal(out[rows, -6:], full[rows, -6:])
+        others = np.setdiff1d(np.arange(15), rows)
+        assert not out[others, -6:].any()
+

@@ -131,6 +131,40 @@ class TestTemporalKG:
         sums = np.asarray(kg.mean_operator.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0)
 
+    def test_transposed_mean_has_sorted_indices(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 5, 40):
+            quads = [
+                Quadruple(int(rng.integers(n)), 0, int(rng.integers(n)), P(1))
+                for _ in range(3 * n)
+            ]
+            op_t = TemporalKG.build(quads, n, 1).mean_operator_t
+            assert op_t.has_sorted_indices
+            for i in range(n):
+                row = op_t.indices[op_t.indptr[i] : op_t.indptr[i + 1]]
+                assert (np.diff(row) > 0).all()
+
+    # Row i of mean_operator_t @ x adds M[j, i] x[j] over ascending j. The
+    # restricted product over ascending `rows` adds the same terms in the
+    # same order, dropping only those of x[j] = +-0: byte for byte the same.
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 90))
+    def test_restricted_transposed_product_is_bit_identical(self, seed, n, facts):
+        rng = np.random.default_rng(seed)
+        quads = np.column_stack([
+            rng.integers(n, size=facts), np.zeros(facts, dtype=np.int64),
+            rng.integers(n, size=facts), np.ones((facts, 2), dtype=np.int64),
+        ])
+        kg = TemporalKG.build(quads, n, 1)
+        rows = np.flatnonzero(rng.random(n) < rng.random())
+        x = rng.standard_normal((n, 3)) * rng.integers(0, 2, size=(n, 3))
+        x[rng.random((n, 3)) < 0.2] = -0.0
+        outside = np.setdiff1d(np.arange(n), rows)
+        x[outside] = np.where(rng.random((len(outside), 3)) < 0.5, 0.0, -0.0)
+        full = kg.mean_operator_t @ x
+        restricted = kg.mean_operator[rows].T @ x[rows]
+        assert restricted.shape == full.shape
+        assert restricted.tobytes() == full.tobytes()
+
     def test_union_graph_offsets(self):
         kg1 = TemporalKG.build([Quadruple(0, 0, 1, P(1))], 2, 1)
         kg2 = TemporalKG.build([Quadruple(0, 0, 2, P(2))], 3, 2)

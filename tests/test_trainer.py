@@ -453,6 +453,31 @@ class TestGradients:
         assert np.array_equal(ge, ref_ge)
         assert np.array_equal(gr, ref_gr)
 
+    # seed 0 ablates both, 5 relation fusion and 7 the global concat; "none"
+    # leaves no hinge live and "all" makes every pair live
+    @pytest.mark.parametrize("seed", [0, 5, 7, 1, 2])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("live", ["some", "none", "all"])
+    def test_nan_filled_layer_buffer_equals_list_oracle(self, seed, layers, dropout, live):
+        state, ukg, batch, enc, trn, mask = random_instance(seed, layers, dropout)
+        if live == "none":
+            # every positive pairs an entity with itself, at distance 0
+            batch = TripletBatch(batch.pos_src, batch.pos_src, batch.pos_src, batch.pos_tgt)
+            trn = dataclasses.replace(trn, margin=1e-9)
+        elif live == "all":
+            trn = dataclasses.replace(trn, margin=1e6)
+        layers_out = np.full((ukg.entity_count, 2 * enc.dim * enc.layers), np.nan)
+        loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask, layers_out=layers_out)
+        ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
+        assert loss == ref_loss
+        assert np.array_equal(ge, ref_ge)
+        assert np.array_equal(gr, ref_gr)
+        if live == "none":
+            assert loss == 0.0 and not ge.any() and not gr.any()
+        elif live == "all":
+            assert loss > 0 and ge.any()
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_reused_buffers_across_pool_sizes_equal_list_oracle(self, seed):
         state, ukg, batch, enc, trn, _ = random_instance(seed, layers=3, dropout=True)
