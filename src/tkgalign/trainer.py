@@ -17,15 +17,12 @@ import scipy.sparse as sp
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
+    block_rows,
     check_field_types,
     forward_layers,
     make_dropout_mask,
 )
 from .kg import AlignmentPairSet, TemporalKG, union_graph
-
-
-# row block of the hinge pass over the pair differences
-_HINGE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -143,17 +140,19 @@ def compute_gradients(
     m = len(src)
     layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out,
                             rows=_marked(n, src, tgt))
-    g = layers[:, -2 * state.dim :] if enc_config.ablate_global_concat else layers
-
-    # distances in row blocks through two small scratch arrays (np.take into
-    # `out` is unbuffered with mode="clip"); no view of them outlives a loop
+    # the global embedding g is the last `width` columns of the layers
     d = state.dim
-    block = max(1, _HINGE_BLOCK_BYTES // (8 * g.shape[1]))
-    scratch = np.empty((2, min(block, m), g.shape[1]))
+    width = 2 * d if enc_config.ablate_global_concat else layers.shape[1]
+    g_start = layers.shape[1] - width
+
+    # distances in row blocks through two small scratch arrays; no view of
+    # them outlives a loop
+    block = block_rows(width)
+    scratch = np.empty((2, min(block, m), width))
     dist = np.empty(m)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        np.abs(_pair_diff(g, src[start:stop], tgt[start:stop], scratch),
+        np.abs(_pair_diff(layers, g_start, width, src[start:stop], tgt[start:stop], scratch),
                out=scratch[1, : stop - start]).sum(axis=1, out=dist[start:stop])
     slack = dist[inv] - dist[len(keys) :] + train_config.margin
     active = slack > 0
@@ -168,10 +167,10 @@ def compute_gradients(
     live = np.flatnonzero(weight)
     src, tgt = src[live], tgt[live]
     k = len(live)
-    signs = np.empty((g.shape[1] // d, m, d))
+    signs = np.empty((width // d, m, d))
     for start in range(0, k, block):
         stop = min(start + block, k)
-        diff = _pair_diff(g, src[start:stop], tgt[start:stop], scratch)
+        diff = _pair_diff(layers, g_start, width, src[start:stop], tgt[start:stop], scratch)
         np.sign(diff.reshape(stop - start, -1, d).swapaxes(0, 1), out=signs[:, start:stop])
         del diff
     del scratch
@@ -222,14 +221,31 @@ def compute_gradients(
     return loss, grad_ent, grad_rel
 
 
-def _pair_diff(g: np.ndarray, src: np.ndarray, tgt: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """g[src] - g[tgt] in the first len(src) rows of scratch[0], with
-    scratch[1] as the second operand. It is bit for bit the product of the
-    signed pair incidence with g, but for the sign of a zero, which neither
-    a distance nor a sum of signs sees."""
+def _take_columns(
+    a: np.ndarray, ids: np.ndarray, start: int, width: int, out: np.ndarray
+) -> np.ndarray:
+    """a[ids, start:start + width] into `out`, read from `a`'s own memory:
+    `a` is C-contiguous and `start` and a's width are multiples of `width`,
+    so those columns of row i are row i * (a.shape[1] // width) + start //
+    width of the view a.reshape(-1, width). np.take would first copy a
+    strided column slice whole; into `out` it is unbuffered with
+    mode="clip"."""
+    per_row = a.shape[1] // width
+    flat = ids if per_row == 1 else ids * per_row + start // width
+    return np.take(a.reshape(-1, width), flat, axis=0, out=out, mode="clip")
+
+
+def _pair_diff(
+    layers: np.ndarray, start: int, width: int, src: np.ndarray, tgt: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """g[src] - g[tgt], with g = layers[:, start:start + width], in the first
+    len(src) rows of scratch[0], with scratch[1] as the second operand. It
+    is bit for bit the product of the signed pair incidence with g, but for
+    the sign of a zero, which neither a distance nor a sum of signs sees."""
     rows = len(src)
-    a = np.take(g, src, axis=0, out=scratch[0, :rows], mode="clip")
-    return np.subtract(a, np.take(g, tgt, axis=0, out=scratch[1, :rows], mode="clip"), out=a)
+    a = _take_columns(layers, src, start, width, scratch[0, :rows])
+    return np.subtract(a, _take_columns(layers, tgt, start, width, scratch[1, :rows]), out=a)
 
 
 def _half_gradient(
@@ -259,8 +275,7 @@ def _half_gradient(
     for step, carry_t in enumerate(carries):
         l = last - step
         at, reach = row_sets[step], row_sets[step + 1]
-        gate = np.take(layers[:, l * w + half : l * w + half + d], at, axis=0,
-                       out=spare[: len(at)], mode="clip")
+        gate = _take_columns(layers, at, l * w + half, d, spare[: len(at)])
         x[: len(at)] *= np.greater(gate, 0.0, out=gate)
         del gate, spare
         spare = carry_t @ x[: len(at)]
@@ -269,8 +284,7 @@ def _half_gradient(
         np.take(spare, reach, axis=0, out=x[: len(reach)], mode="clip")
     x = x[: len(row_sets[-1])]
     if dropout_mask is not None:
-        x *= np.take(dropout_mask[:, half : half + d], row_sets[-1], axis=0,
-                     out=spare[: len(x)], mode="clip")
+        x *= _take_columns(dropout_mask, row_sets[-1], half, d, spare[: len(x)])
     return x
 
 
@@ -291,19 +305,25 @@ def optimizer_step(
 ) -> None:
     """RMSProp update in place: acc <- decay*acc + (1-decay)*g^2,
     p <- p - lr * g / (sqrt(acc) + eps). The float64 gradient arrays are
-    consumed: each is overwritten with the step taken on its table."""
+    consumed: each is overwritten with the step taken on its table. Each
+    row block takes every step before the next one is read."""
     decay, lr, eps = config.optimizer_decay, config.learning_rate, config.optimizer_epsilon
     for table, acc, grad in ((state.entity_table, opt.acc_entity, grad_ent),
                              (state.relation_table, opt.acc_relation, grad_rel)):
-        scratch = np.square(grad)
-        scratch *= 1.0 - decay
-        acc *= decay
-        acc += scratch
-        np.sqrt(acc, out=scratch)
-        scratch += eps
-        grad *= lr
-        grad /= scratch
-        table -= grad
+        block = block_rows(table.shape[1])
+        scratch = np.empty((min(block, len(table)), table.shape[1]))
+        for start in range(0, len(table), block):
+            rows = slice(start, start + block)
+            t, a, g = table[rows], acc[rows], grad[rows]
+            s = np.square(g, out=scratch[: len(g)])
+            s *= 1.0 - decay
+            a *= decay
+            a += s
+            np.sqrt(a, out=s)
+            s += eps
+            g *= lr
+            g /= s
+            t -= g
 
 
 def train_on_union(

@@ -238,6 +238,24 @@ class TestForward:
         ref.random((40, 12))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    # one row block of the draw is 163 rows of 200 columns
+    @pytest.mark.parametrize("shape", [(1, 200), (163, 200), (2000, 200), (7, 3), (5, 1)])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("into", [False, True])
+    def test_blocked_dropout_draw_equals_one_draw(self, shape, rate, into):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        out = np.full(shape, np.nan) if into else None
+        mask = make_dropout_mask(rng, shape, rate, out=out)
+        assert mask is out if into else mask.shape == shape
+        expected = (ref.random(shape) >= rate) * (1.0 / (1.0 - rate))
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_dropout_buffer_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            make_dropout_mask(np.random.default_rng(0), (4, 3), 0.3, out=np.empty((3, 4)))
+
     def test_zero_rate_mask_is_identity(self):
         rng = np.random.default_rng(15)
         kg = random_kg(rng)

@@ -12,7 +12,7 @@ from tkgalign.encoder import (
     init_embeddings,
     make_dropout_mask,
 )
-from tkgalign import trainer
+from tkgalign import encoder
 from tkgalign.kg import AlignmentPairSet, TemporalKG, union_graph
 from tkgalign.trainer import (
     OptimizerState,
@@ -446,7 +446,7 @@ class TestGradients:
         state, ukg, batch, enc, trn, mask = random_instance(seed, layers, dropout)
         if hinge_rows is not None:
             width = 2 * enc.dim * (1 if enc.ablate_global_concat else enc.layers)
-            monkeypatch.setattr(trainer, "_HINGE_BLOCK_BYTES", hinge_rows * width * 8)
+            monkeypatch.setattr(encoder, "_ROW_BLOCK_BYTES", hinge_rows * width * 8)
         loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask)
         ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
         assert loss == ref_loss
@@ -498,6 +498,70 @@ class TestGradients:
             assert np.array_equal(ge, ref_ge)
             assert np.array_equal(gr, ref_gr)
             oracle_optimizer_step(state, opt, ref_ge, ref_gr, trn)  # the next pass sees new tables
+
+    # np.take copies a source that is not C-contiguous whole before it
+    # gathers; every gather of an epoch must read its array in place
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True)])
+    def test_every_gather_reads_contiguous_memory(self, layers, dropout, fusion, concat,
+                                                  monkeypatch):
+        state, ukg, batch, enc, trn, mask = random_instance(1, layers, dropout)
+        enc = dataclasses.replace(enc, ablate_relation_fusion=fusion, ablate_global_concat=concat)
+        trn = dataclasses.replace(trn, margin=1e6)  # every pair live
+        take, strided = np.take, []
+
+        def checked_take(a, *args, **kwargs):
+            if not a.flags.c_contiguous:
+                strided.append(a.shape)
+            return take(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", checked_take)
+        loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask)
+        monkeypatch.undo()
+        assert not strided
+        ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
+        assert loss == ref_loss
+        assert np.array_equal(ge, ref_ge)
+        assert np.array_equal(gr, ref_gr)
+
+    # the dropout draw, the hinge pass and RMSProp run in row blocks of
+    # encoder._ROW_BLOCK_BYTES; "none" leaves no hinge live
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True),
+                                               (True, True)])
+    @pytest.mark.parametrize("live", ["some", "none"])
+    def test_epoch_is_invariant_to_the_row_block(self, layers, fusion, concat, live,
+                                                 monkeypatch):
+        state, ukg, batch, enc, trn, _ = random_instance(2, layers, dropout=True)
+        enc = dataclasses.replace(enc, ablate_relation_fusion=fusion, ablate_global_concat=concat)
+        if live == "none":
+            batch = TripletBatch(batch.pos_src, batch.pos_src, batch.pos_src, batch.pos_tgt)
+            trn = dataclasses.replace(trn, margin=1e-9)
+        d = enc.dim
+        width = 2 * d * (1 if concat else layers)
+        # 1-row blocks in every pass, 3-row blocks in RMSProp, the dropout
+        # draw and the hinge pass in turn, then the default
+        sizes = [8, 3 * 8 * d, 3 * 8 * 2 * d, 3 * 8 * width, encoder._ROW_BLOCK_BYTES]
+        acc_rng = np.random.default_rng(5)
+        acc = OptimizerState(acc_rng.random(state.entity_table.shape),
+                             acc_rng.random(state.relation_table.shape))
+        results = []
+        for size in sizes:
+            monkeypatch.setattr(encoder, "_ROW_BLOCK_BYTES", size)
+            st, opt = state.copy(), OptimizerState(acc.acc_entity.copy(), acc.acc_relation.copy())
+            mask = make_dropout_mask(np.random.default_rng(9), (ukg.entity_count, 2 * d),
+                                     trn.dropout_rate)
+            loss, ge, gr = compute_gradients(st, ukg, batch, enc, trn, mask)
+            grads = (ge.copy(), gr.copy())
+            optimizer_step(st, opt, ge, gr, trn)
+            results.append((loss, mask, *grads, st.entity_table, st.relation_table,
+                            opt.acc_entity, opt.acc_relation))
+        for result in results[:-1]:
+            assert result[0] == results[-1][0]
+            for got, want in zip(result[1:], results[-1][1:]):
+                assert np.array_equal(got, want)
+        assert (results[0][0] == 0.0) == (live == "none")
 
     @pytest.mark.parametrize("seed,layers,dropout", [(0, 1, False), (1, 2, False), (3, 2, True)])
     def test_finite_difference_agreement(self, seed, layers, dropout):
