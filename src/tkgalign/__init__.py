@@ -25,7 +25,7 @@ from .encoder import (
     fuse_features,
     init_embeddings,
 )
-from .evaluate import EvalReport, RowRanks, evaluate, rank_of_truth
+from .evaluate import EvalConfig, EvalReport, RowRanks, evaluate, rank_of_truth
 from .io import DatasetLayout, load_dataset, read_predictions, write_pairs, write_predictions
 from .kg import (
     AlignmentPairSet,

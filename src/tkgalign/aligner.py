@@ -6,7 +6,10 @@ nearest pseudo pairs.
 Every score stage is read a block of source rows at a time (`row_blocks`),
 and each consumer reduces the blocks as they come, so no stage holds a
 pool x pool matrix. The embedding product of the next block runs on one
-helper thread while the caller reduces the current one."""
+helper thread while the caller reduces the current one. `csls_rescale`'s
+pass keeps each row's k best cells and each column's two best; the
+decoders answer every row that a bound proves from them, and read again
+only the blocks that hold another row (`_row_bests`)."""
 from __future__ import annotations
 
 import os
@@ -143,8 +146,8 @@ def combine(emb: ScoreRows, time: ScoreRows, alpha: float) -> BlockedScores:
 @dataclass
 class CSLSScores(BlockedScores):
     """The lazy CSLS matrix, plus what its first pass kept of each row and
-    column. That settles the decoders' answers without another pass over the
-    rows whenever `_settled_rows` can prove them."""
+    column. The decoders answer a row from it, without reading the row
+    again, whenever its bound proves the answer (`_row_bests`)."""
 
     r_src: np.ndarray
     r_tgt: np.ndarray
@@ -244,110 +247,78 @@ def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
     )
 
 
-def _settled_rows(sim: ScoreRows) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _row_bests(sim: ScoreRows, ranked: RowRanks | None = None) -> tuple[np.ndarray, ...]:
     """Each row's best target position (ties toward the smaller), its score
-    and whether no other cell of the row reaches it, from the candidates of a
-    CSLS matrix alone. That is exact when each row's best candidate scores
-    above the row's bound, so no other cell competes; None when a row's does
-    not, or when `sim` carries no candidates."""
-    if not isinstance(sim, CSLSScores) or sim.candidates.shape[1] == 0:
-        return None
-    scores = sim.candidate_scores
-    pick = np.argmax(scores, axis=1)[:, None]  # candidates are in target order
-    best = np.take_along_axis(scores, pick, axis=1)[:, 0]
-    if not (best > sim.bound).all():
-        return None
-    unique = np.count_nonzero(scores == best[:, None], axis=1) == 1
-    return np.take_along_axis(sim.candidates, pick, axis=1)[:, 0], best, unique
+    and whether no other cell of the row reaches it; with `ranked`, each
+    reference's row rank too. A CSLS row whose best candidate scores above
+    the row's bound is answered from its candidates, since no other cell
+    competes, and so is a reference that `ranked.settle` can rank. Only the
+    row blocks that hold any other row are read again."""
+    if isinstance(sim, CSLSScores):
+        scores = sim.candidate_scores
+        pick = np.argmax(scores, axis=1)[:, None]  # candidates are in target order
+        best = np.take_along_axis(sim.candidates, pick, axis=1)[:, 0]
+        top = np.take_along_axis(scores, pick, axis=1)[:, 0]
+        unique = np.count_nonzero(scores == top[:, None], axis=1) == 1
+        wanted = ~(top > sim.bound)
+        if ranked is not None:
+            wanted |= ranked.settle(sim.candidates, scores, sim.bound)
+    else:  # nothing settled: read every row
+        n = sim.shape[0]
+        best, top, unique = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool)
+        wanted = None
+    for start, s in sim.row_blocks(wanted):
+        rows = slice(start, start + len(s))
+        best[rows] = np.argmax(s, axis=1)
+        top[rows] = s[np.arange(len(s)), best[rows]]
+        unique[rows] = np.count_nonzero(s == top[rows, None], axis=1) == 1
+        if ranked is not None:
+            ranked.update(start, s)
+    return best, top, unique
 
 
-def predict(sim: ScoreRows) -> AlignmentPairSet:
+def predict(sim: ScoreRows, *, ranked: RowRanks | None = None) -> AlignmentPairSet:
     """Row-wise argmax decoding; ties break toward the smaller target index.
-    Settled from a CSLS matrix's candidates when they prove it, else one pass.
+    With `ranked`, the same read ranks its references (`_row_bests`).
     Raises ValueError when the pool has no sources or no targets."""
     _check_sides(sim)
-    settled = _settled_rows(sim)
-    if settled is not None:
-        best, scores, _ = settled
-    else:
-        best = np.empty(sim.shape[0], dtype=np.int64)
-        scores = np.empty(sim.shape[0])
-        for start, s in sim.row_blocks():
-            j = np.argmax(s, axis=1)
-            best[start : start + len(s)] = j
-            scores[start : start + len(s)] = s[np.arange(len(s)), j]
+    best, scores, _ = _row_bests(sim, ranked)
     return AlignmentPairSet(sim.source_ids, np.asarray(sim.target_ids)[best], "prediction", scores)
 
 
 def predict_and_rank(
     sim: ScoreRows, references: AlignmentPairSet
 ) -> tuple[AlignmentPairSet, RowRanks]:
-    """`predict(sim)` and each reference's row rank. Both come from a CSLS
-    matrix's candidates when they prove every prediction and every rank;
-    otherwise from one pass over the row blocks, each block ranked as
-    `predict` reads it."""
+    """`predict(sim)` and each reference's row rank, from one read."""
     ranked = RowRanks(sim, references)
-    if _settled_rows(sim) is not None and ranked.settle(
-        sim.candidates, sim.candidate_scores, sim.bound
-    ):
-        return predict(sim), ranked
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        block = sim.rows(start, stop)
-        ranked.update(start, block)
-        return block
-
-    return predict(BlockedScores(sim.source_ids, sim.target_ids, rows, sim.kind)), ranked
+    return predict(sim, ranked=ranked), ranked
 
 
 def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
     """Pairs (i, j) where j is the unique argmax of row i and i the unique
     argmax of column j. The result is a partial matching.
 
-    From a CSLS matrix's candidates, when they settle every row: row i's
-    best score must be column j's best 2*s - r_src rescaled, and the
-    column's second best must rescale to less. Otherwise rows are settled
-    block by block; each column keeps its running maximum, the first row
-    that reaches it and how many rows do."""
+    Row i must reach column j's best and the column's second best must score
+    less. A CSLS matrix's column bests are its first pass's two best
+    2*s - r_src less r_tgt[j], exact since that subtraction rounds
+    monotonically; a plain matrix's come from one more pass over its rows."""
     n_src, n_tgt = sim.shape
     if n_src == 0 or n_tgt == 0:
         return AlignmentPairSet([], [], "pseudo")
-    src, tgt = np.asarray(sim.source_ids), np.asarray(sim.target_ids)
-    settled = _settled_rows(sim)
-    if settled is not None:
-        row_best, row_max, row_unique = settled
-        i = np.flatnonzero(row_unique)
-        j = row_best[i]
-        top = sim.col_max[j] - sim.r_tgt[j]
-        keep = (row_max[i] == top) & (sim.col_second[j] - sim.r_tgt[j] < top)
-        i, j = i[keep], j[keep]
-        return AlignmentPairSet(src[i], tgt[j], "pseudo", row_max[i])
-    row_best = np.empty(n_src, dtype=np.int64)
-    row_max = np.empty(n_src)
-    row_unique = np.empty(n_src, dtype=bool)
-    col_max = np.full(n_tgt, -np.inf)
-    col_best = np.zeros(n_tgt, dtype=np.int64)
-    col_ties = np.zeros(n_tgt, dtype=np.int64)
-    for start, s in sim.row_blocks():
-        rows = slice(start, start + len(s))
-        row_best[rows] = np.argmax(s, axis=1)
-        row_max[rows] = s[np.arange(len(s)), row_best[rows]]
-        row_unique[rows] = np.count_nonzero(s == row_max[rows, None], axis=1) == 1
-        block_max = s.max(axis=0)
-        at_max = s == block_max
-        block_ties = np.count_nonzero(at_max, axis=0)
-        block_best = np.argmax(at_max, axis=0)  # the first row at the maximum
-        same = block_max == col_max
-        col_ties[same] += block_ties[same]
-        higher = block_max > col_max
-        col_max[higher] = block_max[higher]
-        col_best[higher] = start + block_best[higher]
-        col_ties[higher] = block_ties[higher]
+    if isinstance(sim, CSLSScores):
+        col_max, col_second = sim.col_max - sim.r_tgt, sim.col_second - sim.r_tgt
+    else:
+        col_top = np.full((n_tgt, 2), -np.inf)
+        for _, s in sim.row_blocks():
+            _merge_column_tops(col_top, s)
+        col_second, col_max = np.sort(col_top, axis=1).T
+    row_best, row_max, row_unique = _row_bests(sim)
     i = np.flatnonzero(row_unique)
     j = row_best[i]
-    keep = (col_ties[j] == 1) & (col_best[j] == i)
+    keep = (row_max[i] == col_max[j]) & (col_second[j] < col_max[j])
     i, j = i[keep], j[keep]
-    return AlignmentPairSet(src[i], tgt[j], "pseudo", row_max[i])
+    return AlignmentPairSet(np.asarray(sim.source_ids)[i], np.asarray(sim.target_ids)[j],
+                            "pseudo", row_max[i])
 
 
 @dataclass

@@ -20,7 +20,7 @@ import yaml
 from . import io as kg_io
 from .aligner import AlignConfig, IterationResult, iterate
 from .encoder import EncoderConfig, init_embeddings
-from .evaluate import EvalReport, evaluate
+from .evaluate import EvalConfig, EvalReport, evaluate
 from .kg import AlignmentPairSet
 from .seeds import generate_seeds
 from .synth import SynthParams, make_benchmark, write_benchmark
@@ -62,7 +62,9 @@ def _build(cls, section: dict, name: str):
         raise ConfigError(f"invalid value in [{name}] section: {exc}") from None
 
 
-def parse_configs(cfg: dict) -> tuple[kg_io.DatasetLayout, EncoderConfig, TrainConfig, AlignConfig, dict]:
+def parse_configs(
+    cfg: dict,
+) -> tuple[kg_io.DatasetLayout, EncoderConfig, TrainConfig, AlignConfig, EvalConfig]:
     if "dataset" not in cfg:
         raise ConfigError("config needs a 'dataset' entry")
     ds = cfg["dataset"]
@@ -81,7 +83,7 @@ def parse_configs(cfg: dict) -> tuple[kg_io.DatasetLayout, EncoderConfig, TrainC
     enc = _build(EncoderConfig, cfg.get("encoder"), "encoder")
     trn = _build(TrainConfig, cfg.get("train"), "train")
     aln = _build(AlignConfig, cfg.get("align"), "align")
-    ev = cfg.get("eval") or {}
+    ev = _build(EvalConfig, cfg.get("eval"), "eval")
     return layout, enc, trn, aln, ev
 
 
@@ -127,8 +129,8 @@ def run_alignment(
         report = evaluate(
             result.similarity,
             refs,
-            ks=ev.get("ks", (1, 10)),
-            bidirectional=ev.get("bidirectional", False),
+            ks=ev.ks,
+            bidirectional=ev.bidirectional,
             row_ranks=result.reference_ranks,
         )
 

@@ -18,12 +18,18 @@ import scipy.sparse as sp
 from .kg import TemporalKG
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 # the values a field of each annotated type accepts; a bool is no number
 _FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "int": (_is_int, "an integer"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
     "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
               "a finite number"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
 }
 
 

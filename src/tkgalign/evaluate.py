@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoder import check_field_types
 from .kg import AlignmentPairSet
 from .timesim import ScoreRows
 
@@ -19,6 +20,18 @@ def rank_of_truth(sim_row: np.ndarray, truth_index: int) -> int:
     greater = int((row > t).sum())
     ties = int((row == t).sum()) - 1
     return 1 + greater + ties
+
+
+@dataclass
+class EvalConfig:
+    ks: tuple[int, ...] = (1, 10)  # the k of each reported Hits@k
+    bidirectional: bool = False
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if not all(k >= 1 for k in self.ks):
+            raise ValueError(f"ks must be positive, got {self.ks!r}")
+        self.ks = tuple(int(k) for k in self.ks)
 
 
 @dataclass
@@ -82,20 +95,22 @@ class RowRanks:
         self.truth[mine] = scored[np.arange(len(mine)), self.cols[mine]]
         self.ranks[mine] = (scored >= self.truth[mine, None]).sum(axis=1)
 
-    def settle(self, candidates: np.ndarray, scores: np.ndarray, bound: np.ndarray) -> bool:
-        """Rank every reference among its row's candidates alone: `candidates`
-        holds target positions and `scores` their scores, a row of `sim`
-        each, and no other cell of row i scores above `bound[i]`. That is
-        exact when each truth is a candidate scoring above its row's bound;
-        returns False, and fills nothing, when one is not."""
+    def settle(self, candidates: np.ndarray, scores: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """Rank the references that their row's candidates alone can rank:
+        `candidates` holds target positions and `scores` their scores, a
+        row of `sim` each, and no other cell of row i scores above
+        `bound[i]`. That is exact for a truth that is a candidate scoring
+        above its row's bound. Returns a bool per row of `sim`, True where
+        a reference is left for `update`."""
         mine, scored = candidates[self.rows], scores[self.rows]
         hit = mine == self.cols[:, None]
         truth = scored[np.arange(len(self.rows)), np.argmax(hit, axis=1)]
-        if not (hit.any(axis=1) & (truth > bound[self.rows])).all():
-            return False
-        self.truth[:] = truth
-        self.ranks[:] = (scored >= truth[:, None]).sum(axis=1)
-        return True
+        ok = hit.any(axis=1) & (truth > bound[self.rows])
+        self.truth[ok] = truth[ok]
+        self.ranks[ok] = (scored[ok] >= truth[ok, None]).sum(axis=1)
+        unranked = np.zeros(len(candidates), dtype=bool)
+        unranked[self.rows[~ok]] = True
+        return unranked
 
     def with_columns(self, sim: ScoreRows, bidirectional: bool) -> np.ndarray:
         """The row ranks; with `bidirectional`, followed by each reference's
@@ -113,12 +128,6 @@ def _row_ranks(sim: ScoreRows, references: AlignmentPairSet) -> RowRanks:
     for start, s in sim.row_blocks():
         ranked.update(start, s)
     return ranked
-
-
-def _ranks(sim: ScoreRows, references: AlignmentPairSet, bidirectional: bool) -> np.ndarray:
-    """`rank_of_truth` of every reference in its row, in reference order;
-    with `bidirectional`, followed by each one's rank in its column."""
-    return _row_ranks(sim, references).with_columns(sim, bidirectional)
 
 
 def evaluate(

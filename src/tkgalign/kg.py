@@ -75,7 +75,6 @@ class TemporalKG:
     adjacency: sp.csr_matrix
     degree: np.ndarray
     _mean_operator: sp.csr_matrix | None = field(default=None, repr=False)
-    _mean_operator_t: sp.csr_matrix | None = field(default=None, repr=False)
     _relation_operator: sp.csr_matrix | None = field(default=None, repr=False)
 
     @classmethod
@@ -113,15 +112,6 @@ class TemporalKG:
             inv_deg = sp.diags(1.0 / self.degree.astype(np.float64))
             self._mean_operator = (inv_deg @ self.adjacency).tocsr()
         return self._mean_operator
-
-    @property
-    def mean_operator_t(self) -> sp.csr_matrix:
-        """Transpose of `mean_operator` in CSR form, with sorted indices: row
-        i adds M[j, i] x[j] over ascending j. The backward pass's restricted
-        products add the same terms in the same order."""
-        if self._mean_operator_t is None:
-            self._mean_operator_t = self.mean_operator.T.tocsr()
-        return self._mean_operator_t
 
     @property
     def relation_operator(self) -> sp.csr_matrix:

@@ -66,13 +66,16 @@ class ScoreRows:
     def shape(self) -> tuple[int, int]:
         return (len(self.source_ids), len(self.target_ids))
 
-    def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def row_blocks(self, wanted: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """(start, rows [start, start + len(block))) over the whole matrix,
-        each block at most _BLOCK_BYTES (and at least one row)."""
+        each block at most _BLOCK_BYTES (and at least one row). With
+        `wanted`, a bool per row, only the blocks that hold a wanted row."""
         n_src, n_tgt = self.shape
         step = max(1, _BLOCK_BYTES // (8 * max(n_tgt, 1)))
         for start in range(0, n_src, step):
-            yield start, self.rows(start, min(start + step, n_src))
+            stop = min(start + step, n_src)
+            if wanted is None or wanted[start:stop].any():
+                yield start, self.rows(start, stop)
 
     @property
     def dense(self) -> np.ndarray:

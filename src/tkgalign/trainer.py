@@ -195,10 +195,10 @@ def compute_gradients(
     # through the transposed mean of those rows, M[rows].T, which reaches
     # one hop further, into layer l-1's row set. With the global concat,
     # layer l-1's scattered block is added to the carried term.
-    # mean_operator_t has sorted indices, so its row i adds M[j, i] x[j] over
-    # ascending j; M[rows].T over ascending rows adds the same terms in the
-    # same order and drops only those of x[j] = +-0, which never change a
-    # sum that starts at +0.
+    # The full transpose M.T in CSR form has sorted indices, so its row i
+    # adds M[j, i] x[j] over ascending j; M[rows].T over ascending rows adds
+    # the same terms in the same order and drops only those of x[j] = +-0,
+    # which never change a sum that starts at +0.
     mean = union_kg.mean_operator
     row_sets = [_marked(n, src, tgt)]
     carries = []

@@ -26,7 +26,7 @@ from tkgalign.aligner import (
 )
 from tkgalign.encoder import EncoderConfig, forward, init_embeddings
 from tkgalign.cli import run_alignment
-from tkgalign.evaluate import RowRanks, _ranks, evaluate, rank_of_truth
+from tkgalign.evaluate import RowRanks, _row_ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
 from tkgalign.kg import AlignmentPairSet, union_graph
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
@@ -434,8 +434,8 @@ class TestBlockedScoring:
         refs = AlignmentPairSet.from_pairs(list(zip(src[::2].tolist(), tgt[::2].tolist())))
         ranks = [rank_of_truth(expected[i], i) for i in range(0, min(shape), 2)]
         back = [rank_of_truth(expected[:, j], j) for j in range(0, min(shape), 2)]
-        assert _ranks(sim, refs, False).tolist() == ranks
-        assert _ranks(sim, refs, True).tolist() == ranks + back
+        assert _row_ranks(sim, refs).ranks.tolist() == ranks
+        assert _row_ranks(sim, refs).with_columns(sim, True).tolist() == ranks + back
 
     @pytest.mark.parametrize("block", [1, 3, 7, None])
     @pytest.mark.parametrize("k", [1, 4, 10, 100])
@@ -510,6 +510,17 @@ class TestBlockedScoring:
         ]
         assert np.array_equal(combine(matrix(np.zeros((3, 3))), tim, 1.0).dense, t.toarray())
 
+    def test_row_blocks_of_wanted_rows_only(self, monkeypatch):
+        s = np.arange(24.0).reshape(8, 3)
+        use_block_rows(monkeypatch, 3, 3)
+        sim, reads = counted(s)
+        wanted = np.isin(np.arange(8), [4, 7])
+        assert [(start, block.tolist()) for start, block in sim.row_blocks(wanted)] == [
+            (3, s[3:6].tolist()), (6, s[6:].tolist())]
+        assert reads == [(3, 6), (6, 8)]
+        assert list(sim.row_blocks(np.zeros(8, dtype=bool))) == []
+        assert [start for start, _ in sim.row_blocks()] == [0, 3, 6]
+
     @pytest.mark.parametrize("block", [1, 3, None])
     def test_submatrix_gathers_a_block_of_rows_at_a_time(self, monkeypatch, block):
         t = sp.random(9, 8, density=0.4, format="csr", random_state=1)
@@ -568,9 +579,10 @@ def planted_pool(shape, seed):
 
 
 class TestSettledScoring:
-    """The decoders answer from what `csls_rescale`'s pass kept when a bound
-    proves it, without reading a row; otherwise they fall back to a full
-    pass. Both match the dense references and each other."""
+    """The decoders answer each row from what `csls_rescale`'s pass kept
+    when a bound proves it, without reading the row; they read again only
+    the row blocks that hold a row or reference the bound leaves unsettled.
+    The answers match the dense references and a full pass's."""
 
     def check_against_oracles(self, sim, s, k, exact):
         src, tgt = sim.source_ids, sim.target_ids
@@ -633,6 +645,42 @@ class TestSettledScoring:
         assert ranked.ranks.tolist() == [rank_of_truth(expected[i], kth[i]) for i in range(40)]
         assert max(ranked.ranks) > 3
         assert preds.pairs == predict(sim).pairs
+
+    @pytest.mark.parametrize("unsettled", ["rows", "references"])
+    def test_only_the_blocks_that_hold_an_unsettled_row_are_read_again(self, monkeypatch,
+                                                                        unsettled):
+        # 40 rows in blocks of 7. Either rows 10 and 12 have no planted best,
+        # so no candidate beats their bound, or the references of rows 14 to
+        # 20 name their row's k-th best input, which never does
+        s = planted_pool((40, 50), seed=8)
+        rng = np.random.default_rng(8)
+        truth = np.argmax(s, axis=1)
+        if unsettled == "rows":
+            s[[10, 12]] = 0.5 * rng.random((2, 50))
+            truth[[10, 12]] = np.argmax(s[[10, 12]], axis=1)
+            again = {"predict": [(7, 14)], "mutual": [(7, 14)], "rank": [(7, 14)]}
+        else:
+            truth[14:21] = np.argsort(-s[14:21], axis=1, kind="stable")[:, 2]
+            again = {"predict": [], "mutual": [], "rank": [(14, 21)]}
+        use_block_rows(monkeypatch, 7, 50)
+        blocked, reads = counted(s, source_ids=np.arange(40) + 100,
+                                 target_ids=rng.permutation(50) + 500)
+        sim = csls_rescale(blocked, 3)
+        refs = AlignmentPairSet(sim.source_ids, sim.target_ids[truth], "gold")
+        for name, decode in (("predict", predict), ("mutual", mutual_nearest_pairs),
+                             ("rank", lambda sim: predict_and_rank(sim, refs))):
+            reads.clear()
+            decode(sim)
+            assert reads == again[name], name
+        plain = full_pass(sim)
+        preds, ranked = predict_and_rank(sim, refs)
+        full_preds, full = predict_and_rank(plain, refs)
+        assert preds.pairs == full_preds.pairs and np.array_equal(preds.scores, full_preds.scores)
+        assert np.array_equal(ranked.truth, full.truth)
+        assert np.array_equal(ranked.ranks, full.ranks)
+        expected = dense_csls(s, 3)
+        assert ranked.ranks.tolist() == [rank_of_truth(expected[i], truth[i]) for i in range(40)]
+        self.check_against_oracles(sim, s, 3, exact=False)
 
     def test_a_hub_column_defeats_the_bound(self, monkeypatch):
         # column 0 is every row's best input (a hub) and column 1 every
@@ -772,7 +820,7 @@ class TestIterate:
     def test_final_ranks_come_with_the_predictions(self, tiny_benchmark):
         result, refs = run_iterate(tiny_benchmark, iterations=2)
         assert result.predictions.pairs == predict(result.similarity).pairs
-        assert np.array_equal(result.reference_ranks.ranks, _ranks(result.similarity, refs, False))
+        assert np.array_equal(result.reference_ranks.ranks, _row_ranks(result.similarity, refs).ranks)
 
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_final_pass_reuses_the_last_embedding(self, tiny_benchmark, monkeypatch, iterations):

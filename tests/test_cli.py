@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from tkgalign.cli import apply_ablation, main, run_alignment
+from tkgalign.evaluate import evaluate
 from tkgalign.io import read_pairs, read_predictions
 
 
@@ -195,6 +196,33 @@ def test_value_of_the_wrong_type_exits_2_before_loading(tmp_path, bench_dir, cap
     assert main(["align", str(cfg_path)]) == 2
     assert f"invalid value in [{section}] section: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value,message", [
+    ({"bidirectional": "false"}, "invalid value in [eval] section: bidirectional"),
+    ({"bidirectonal": True}, "invalid field in [eval] section"),
+    ({"ks": [0, -3]}, "invalid value in [eval] section: ks"),
+    ({"ks": "10"}, "invalid value in [eval] section: ks"),
+    ({"ks": 5}, "invalid value in [eval] section: ks"),
+    ({"ks": [1, True]}, "invalid value in [eval] section: ks"),
+])
+def test_bad_eval_section_exits_2_before_loading(tmp_path, bench_dir, capsys, value, message):
+    cfg_path, _ = write_config(tmp_path, bench_dir, eval=value)
+    assert main(["align", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_section_sets_ks_and_bidirectional(tmp_path, bench_dir):
+    cfg_path, cfg = write_config(tmp_path, bench_dir, train={"epochs": 10},
+                                 align={"iterations": 1}, eval={"ks": [1, 3]})
+    one_way, result, _ = run_alignment(cfg, tmp_path / "one_way")
+    assert sorted(one_way.hits_at) == [1, 3]
+    cfg["eval"]["bidirectional"] = True
+    both, _, _ = run_alignment(cfg, tmp_path / "both")
+    expected = evaluate(result.similarity, read_pairs(bench_dir / "ref_pairs"), (1, 3), True)
+    assert (both.hits_at, both.mrr) == (expected.hits_at, expected.mrr) != (
+        one_way.hits_at, one_way.mrr)
 
 
 def test_missing_config_nonzero_exit(tmp_path, capsys):

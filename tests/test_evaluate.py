@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tkgalign.aligner import predict_and_rank
-from tkgalign.evaluate import _ranks, evaluate, rank_of_truth
+from tkgalign.evaluate import _row_ranks, evaluate, rank_of_truth
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.timesim import BlockedScores
 
@@ -138,8 +138,9 @@ class TestBlockedRanks:
                  for _ in range(20)}
         refs = AlignmentPairSet.from_pairs(sorted(pairs, key=lambda p: -p[1]))
         use_block_rows(monkeypatch, block, shape[1])
-        assert _ranks(sim, refs, False).tolist() == dense_ranks(sim, refs)
-        assert _ranks(sim, refs, True).tolist() == dense_bidirectional_ranks(sim, refs)
+        ranked = _row_ranks(sim, refs)
+        assert ranked.ranks.tolist() == dense_ranks(sim, refs)
+        assert ranked.with_columns(sim, True).tolist() == dense_bidirectional_ranks(sim, refs)
         for bidirectional, oracle in ((False, dense_ranks), (True, dense_bidirectional_ranks)):
             arr = np.array(oracle(sim, refs), dtype=np.float64)
             report = evaluate(sim, refs, ks=(1, 5), bidirectional=bidirectional)
@@ -180,7 +181,8 @@ class TestBlockedRanks:
         s = np.array([[0.1, 0.2], [0.9, 0.3], [0.9, 0.4], [0.5, 0.6]])
         refs = AlignmentPairSet.from_pairs([(1, 0), (2, 0), (3, 1)])
         use_block_rows(monkeypatch, block, 2)
-        assert _ranks(matrix(s), refs, True).tolist() == [1, 1, 1, 2, 2, 1]
+        sim = matrix(s)
+        assert _row_ranks(sim, refs).with_columns(sim, True).tolist() == [1, 1, 1, 2, 2, 1]
 
     def test_given_row_ranks_save_the_row_pass(self, monkeypatch):
         s = np.random.default_rng(4).random((7, 5))

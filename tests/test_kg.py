@@ -138,14 +138,14 @@ class TestTemporalKG:
                 Quadruple(int(rng.integers(n)), 0, int(rng.integers(n)), P(1))
                 for _ in range(3 * n)
             ]
-            op_t = TemporalKG.build(quads, n, 1).mean_operator_t
+            op_t = TemporalKG.build(quads, n, 1).mean_operator.T.tocsr()
             assert op_t.has_sorted_indices
             for i in range(n):
                 row = op_t.indices[op_t.indptr[i] : op_t.indptr[i + 1]]
                 assert (np.diff(row) > 0).all()
 
-    # Row i of mean_operator_t @ x adds M[j, i] x[j] over ascending j. The
-    # restricted product over ascending `rows` adds the same terms in the
+    # Row i of mean_operator.T.tocsr() @ x adds M[j, i] x[j] over ascending j.
+    # The restricted product over ascending `rows` adds the same terms in the
     # same order, dropping only those of x[j] = +-0: byte for byte the same.
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 90))
     def test_restricted_transposed_product_is_bit_identical(self, seed, n, facts):
@@ -160,7 +160,7 @@ class TestTemporalKG:
         x[rng.random((n, 3)) < 0.2] = -0.0
         outside = np.setdiff1d(np.arange(n), rows)
         x[outside] = np.where(rng.random((len(outside), 3)) < 0.5, 0.0, -0.0)
-        full = kg.mean_operator_t @ x
+        full = kg.mean_operator.T.tocsr() @ x
         restricted = kg.mean_operator[rows].T @ x[rows]
         assert restricted.shape == full.shape
         assert restricted.tobytes() == full.tobytes()

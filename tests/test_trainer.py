@@ -129,7 +129,7 @@ def list_oracle_gradients(state, union_kg, batch, enc_config, train_config, drop
         d_layers = [np.zeros_like(layers[0]) for _ in layers[:-1]] + [d_global]
     else:
         d_layers = [d_global[:, l * width : (l + 1) * width] for l in range(len(layers))]
-    op_t = union_kg.mean_operator_t
+    op_t = union_kg.mean_operator.T.tocsr()
     d_run = d_layers[-1]
     for l in range(len(layers) - 1, 0, -1):
         gated = d_run * (layers[l] > 0)
