@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EmbeddingState, EncoderConfig, check_field_types, forward
+from .encoder import EmbeddingState, EncoderConfig, block_rows, check_field_types, forward
 from .evaluate import RowRanks
 from .kg import AlignmentPairSet, TemporalKG, union_graph
 from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
@@ -41,10 +41,13 @@ class AlignConfig:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of the float64 array `x` divided by its L2 norm, in place;
+    a row of norm 0 (or NaN) becomes 0. Returns `x`."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    out = np.zeros_like(x, dtype=np.float64)
-    np.divide(x, norms, out=out, where=norms > 0)
-    return out
+    ok = norms > 0
+    np.divide(x, norms, out=x, where=ok)
+    x[~ok[:, 0]] = 0.0
+    return x
 
 
 def _start_helper() -> None:
@@ -65,33 +68,43 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _ReadAhead:
-    """`rows(start, stop)` of the cosine scores, a[start:stop] @ b.T.
+    """`rows(start, stop)` of the cosine scores, a[start:stop] @ b.T, where
+    a holds the normalized rows `src` of `g` and b is normalized already.
 
     Every product runs on the helper thread, into a buffer allocated by the
     caller. Serving [start, stop) hands the helper the next block of the same
     height, which it computes while the caller reduces this one; the last
     block reads nothing ahead. A request for any other block waits out the
     product in flight and discards it, with any error it raised, then
-    submits its own. One thread reads a given instance."""
+    submits its own. A block's rows of a are gathered and normalized when
+    its product is submitted, into one of two buffers kept for the life of
+    the instance: the one that no product in flight reads. One thread
+    reads a given instance."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
-        self.a, self.b = a, b
-        self.ahead: tuple[int, int, Future] | None = None
+    def __init__(self, g: np.ndarray, src: np.ndarray, b: np.ndarray) -> None:
+        self.g, self.src, self.b = g, src, b
+        self.operands: list[np.ndarray | None] = [None, None]
+        self.ahead: tuple[int, int, int, Future] | None = None
 
-    def _submit(self, start: int, stop: int) -> tuple[int, int, Future]:
-        a = self.a[start:stop]
-        out = np.empty((len(a), len(self.b)))
-        return start, stop, _HELPER.submit(_product, a, self.b, out)
+    def _submit(self, start: int, stop: int, slot: int) -> tuple[int, int, int, Future]:
+        buf = self.operands[slot]
+        if buf is None or len(buf) < stop - start:
+            buf = self.operands[slot] = np.empty((stop - start, self.g.shape[1]))
+        # ids are in range (checked on construction), so "clip" only makes
+        # take write `out` directly
+        a = np.take(self.g, self.src[start:stop], axis=0, out=buf[: stop - start], mode="clip")
+        out = np.empty((stop - start, len(self.b)))
+        return start, stop, slot, _HELPER.submit(_product, _normalize_rows(a), self.b, out)
 
     def __call__(self, start: int, stop: int) -> np.ndarray:
         ahead, self.ahead = self.ahead, None
         if ahead is None or ahead[:2] != (start, stop):
             if ahead is not None:
-                wait([ahead[2]])
-            ahead = self._submit(start, stop)
-        if start < stop < len(self.a):
-            self.ahead = self._submit(stop, min(2 * stop - start, len(self.a)))
-        return ahead[2].result()
+                wait([ahead[3]])
+            ahead = self._submit(start, stop, 0)  # nothing is in flight
+        if start < stop < len(self.src):
+            self.ahead = self._submit(stop, min(2 * stop - start, len(self.src)), 1 - ahead[2])
+        return ahead[3].result()
 
 
 def embedding_similarity(
@@ -101,13 +114,17 @@ def embedding_similarity(
     target_ids: Sequence[int],
 ) -> BlockedScores:
     """Cosine similarity between selected rows of the two graphs' embedding
-    matrices. Zero-norm rows yield all-zero similarities. Each block's
-    product is computed ahead on the helper thread (`_ReadAhead`)."""
+    matrices. Zero-norm rows yield all-zero similarities. The target rows
+    are normalized once; each block's source rows, and its product, are
+    computed ahead of the reader (`_ReadAhead`), so `global1` must not
+    change while the scores are read."""
     src = np.asarray(source_ids, dtype=np.int64)
     tgt = np.asarray(target_ids, dtype=np.int64)
-    a = _normalize_rows(np.asarray(global1, dtype=np.float64)[src])
+    g1 = np.ascontiguousarray(global1, dtype=np.float64)
+    if len(src) and not (src.min() >= 0 and src.max() < len(g1)):
+        raise IndexError(f"source ids must be in [0, {len(g1)})")
     b = _normalize_rows(np.asarray(global2, dtype=np.float64)[tgt])
-    return BlockedScores(src, tgt, _ReadAhead(a, b), "embedding")
+    return BlockedScores(src, tgt, _ReadAhead(g1, src, b), "embedding")
 
 
 # rows of time scores densified at a time to be mixed into an embedding block
@@ -162,28 +179,44 @@ def _merge_column_tops(top: np.ndarray, block: np.ndarray) -> None:
     """Merge a block of rows into `top`, a row per column holding its m best
     values so far (least first), in place. Only entries above their column's
     least can change it; when few are, only they are merged."""
-    m = top.shape[1]
+    m, rows = top.shape[1], len(block)
     above = block > np.ascontiguousarray(top[:, 0])
     if np.count_nonzero(above) * 16 > above.size:  # most of the block: merge every column whole
         del above
-        cols = slice(None)
-        merged = np.hstack([top, block.T])
-    else:
-        r, c = np.divmod(np.flatnonzero(above), block.shape[1])
-        if len(c) == 0:
-            return
-        order = np.argsort(c)
-        r, c = r[order], c[order]
-        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-        per_col = np.diff(np.r_[starts, len(c)])
-        cols = c[starts]
-        merged = np.full((len(cols), m + per_col.max()), -np.inf)
-        merged[:, :m] = top[cols]
-        slot = m + np.arange(len(c)) - np.repeat(starts, per_col)
-        merged[np.repeat(np.arange(len(cols)), per_col), slot] = block[r, c]
+        # a chunk of columns at a time, so the merged copy stays one row block
+        step = block_rows(m + rows)
+        for lo in range(0, block.shape[1], step):
+            merged = np.hstack([top[lo : lo + step], block[:, lo : lo + step].T])
+            merged.partition(rows, axis=1)
+            top[lo : lo + step] = merged[:, rows:]
+        return
+    r, c = np.divmod(np.flatnonzero(above), block.shape[1])
+    if len(c) == 0:
+        return
+    order = np.argsort(c)
+    r, c = r[order], c[order]
+    starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+    per_col = np.diff(np.r_[starts, len(c)])
+    cols = c[starts]
+    merged = np.full((len(cols), m + per_col.max()), -np.inf)
+    merged[:, :m] = top[cols]
+    slot = m + np.arange(len(c)) - np.repeat(starts, per_col)
+    merged[np.repeat(np.arange(len(cols)), per_col), slot] = block[r, c]
     width = merged.shape[1] - m
     merged.partition(width, axis=1)
     top[cols] = merged[:, width:]
+
+
+def _row_tops(s: np.ndarray, k: int) -> np.ndarray:
+    """np.argpartition(s, n - k, axis=1)[:, n - k:] for s n columns wide:
+    each row's k best positions, in argpartition's order. It runs a row
+    block at a time, so its full-size index output stays one row block."""
+    n = s.shape[1]
+    top = np.empty((len(s), k), dtype=np.int64)
+    step = block_rows(n)
+    for lo in range(0, len(s), step):
+        top[lo : lo + step] = np.argpartition(s[lo : lo + step], n - k, axis=1)[:, n - k :]
+    return top
 
 
 def _check_sides(sim: ScoreRows) -> None:
@@ -215,7 +248,7 @@ def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
     for start, s in sim.row_blocks():
         rows = slice(start, start + len(s))
         _merge_column_tops(col_top, s)
-        top = np.argpartition(s, n_tgt - k_row, axis=1)[:, n_tgt - k_row :]
+        top = _row_tops(s, k_row)
         r_src[rows] = np.take_along_axis(s, top, axis=1).mean(axis=1)
         candidates[rows] = top = np.sort(top, axis=1)
         # the block is ours: it becomes 2*s - r_src by the rescaled rows' ops
@@ -398,8 +431,11 @@ def iterate(
         added = 0
         if len(rest_src) and len(rest_tgt):
             g = forward(state, union, enc_config)
-            sim = _scored_similarity(g, n1, align_config, time_matrix, rest_src, rest_tgt)
-            pseudo = mutual_nearest_pairs(sim)
+            # the scores are dropped with the call, not kept through the
+            # next training run or the final scoring
+            pseudo = mutual_nearest_pairs(
+                _scored_similarity(g, n1, align_config, time_matrix, rest_src, rest_tgt)
+            )
             added = len(pseudo)
             if added:
                 pool = pool.extended(pseudo)

@@ -281,8 +281,15 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Source-side hits@1 of a prediction file, which holds one target per
+    source: an [eval] section that sets other ks or bidirectional exits 2."""
     cfg = load_config(args.config)
-    layout, *_ = parse_configs(cfg)
+    layout, *_, ev = parse_configs(cfg)
+    if ("ks" in (cfg.get("eval") or {}) and ev.ks != (1,)) or ev.bidirectional:
+        raise ConfigError(
+            "eval reports source-side hits@1 only (a prediction file holds one target per "
+            "source): the [eval] section may set ks only to [1] and bidirectional only to false"
+        )
     *_, refs = kg_io.load_dataset(layout)
     if not len(refs):
         raise ConfigError("dataset has no reference pairs to score against")

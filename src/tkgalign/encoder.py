@@ -108,24 +108,40 @@ def block_rows(width: int) -> int:
     return max(1, _ROW_BLOCK_BYTES // (8 * width))
 
 
+@dataclass
+class DropoutMask:
+    """An inverted-scaling dropout mask, kept as its keep bits: the mask is
+    `scale` where `keep` (bool) is True and 0 elsewhere. Applied as
+    `h *= keep; h *= scale`, it gives h times the mask bit for bit: h * 1.0
+    is exact, and a dropped value keeps the sign of its zero.
+    `np.asarray(mask)` is the float64 mask."""
+
+    keep: np.ndarray
+    scale: float
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.keep * self.scale, dtype=dtype)
+
+
 def make_dropout_mask(
     rng: np.random.Generator, shape: tuple[int, int], rate: float, *, out: np.ndarray | None = None
-) -> np.ndarray:
+) -> DropoutMask:
     """Inverted-scaling dropout mask: zero with probability `rate`, else
-    1 / (1 - rate). With `out` (C-contiguous float64, of `shape`) the mask
-    is drawn into it. It is drawn a row block at a time, which takes the
-    same doubles from the stream as one draw of `shape`."""
+    1 / (1 - rate). With `out` (a C-contiguous bool array of `shape`) the
+    keep bits are drawn into it. The doubles are drawn a row block at a
+    time through one scratch block, which takes the same doubles from the
+    stream as one draw of `shape`."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if out is not None and out.shape != tuple(shape):
-        raise ValueError(f"out has shape {out.shape}, not {tuple(shape)}")
-    mask = np.empty(shape) if out is None else out
+    if out is not None and (out.shape != tuple(shape) or out.dtype != np.bool_):
+        raise ValueError(f"out is {out.dtype} of shape {out.shape}, not bool of {tuple(shape)}")
+    keep = np.empty(shape, dtype=bool) if out is None else out
     block = block_rows(shape[1])
+    scratch = np.empty((min(block, shape[0]), shape[1]))
     for start in range(0, shape[0], block):
-        chunk = rng.random(out=mask[start : start + block])
-        np.greater_equal(chunk, rate, out=chunk)  # in place: 1.0 where kept, else 0.0
-        chunk *= 1.0 / (1.0 - rate)
-    return mask
+        kept = keep[start : start + block]
+        np.greater_equal(rng.random(out=scratch[: len(kept)]), rate, out=kept)
+    return DropoutMask(keep, 1.0 / (1.0 - rate))
 
 
 def _rows_only(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
@@ -166,7 +182,7 @@ def forward_layers(
     state: EmbeddingState,
     kg: TemporalKG,
     config: EncoderConfig,
-    dropout_mask: np.ndarray | None = None,
+    dropout_mask: DropoutMask | None = None,
     *,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
@@ -197,7 +213,8 @@ def forward_layers(
         else:
             h = at(kg.mean_operator, 0) @ state.entity_table
         if dropout_mask is not None:
-            h *= dropout_mask[:, half : half + d]
+            h *= dropout_mask.keep[:, half : half + d]
+            h *= dropout_mask.scale
         out[:, half : half + d] = h
         for l in range(1, config.layers):
             h = at(kg.mean_operator, l) @ h
@@ -210,7 +227,7 @@ def forward(
     state: EmbeddingState,
     kg: TemporalKG,
     config: EncoderConfig,
-    dropout_mask: np.ndarray | None = None,
+    dropout_mask: DropoutMask | None = None,
 ) -> np.ndarray:
     """Full forward pass: entity_count x 2*d*layers matrix (or x 2d under
     ablate_global_concat, the last layer's columns of `forward_layers`)."""

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .encoder import (
+    DropoutMask,
     EmbeddingState,
     EncoderConfig,
     block_rows,
@@ -117,7 +118,7 @@ def compute_gradients(
     batch: TripletBatch,
     enc_config: EncoderConfig,
     train_config: TrainConfig,
-    dropout_mask: np.ndarray | None = None,
+    dropout_mask: DropoutMask | None = None,
     *,
     layers_out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -162,16 +163,19 @@ def compute_gradients(
     # negative by -1. Only the live pairs (weight != 0) have a gradient.
     # Their signs are kept one d-wide column block at a time, so that the
     # gradient of each block is one product; the blocks have room for every
-    # pair, so the array has the same size in every epoch.
+    # pair, so the arrays have the same size in every epoch. A sign is
+    # stored as int8: a live pair's difference is never NaN, since a NaN
+    # distance leaves its hinges inactive, so the cast is exact.
     weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
     live = np.flatnonzero(weight)
     src, tgt = src[live], tgt[live]
     k = len(live)
-    signs = np.empty((width // d, m, d))
+    signs = np.empty((width // d, m, d), dtype=np.int8)
     for start in range(0, k, block):
         stop = min(start + block, k)
         diff = _pair_diff(layers, g_start, width, src[start:stop], tgt[start:stop], scratch)
-        np.sign(diff.reshape(stop - start, -1, d).swapaxes(0, 1), out=signs[:, start:stop])
+        np.sign(diff.reshape(stop - start, -1, d).swapaxes(0, 1), out=signs[:, start:stop],
+                casting="unsafe")
         del diff
     del scratch
 
@@ -186,8 +190,13 @@ def compute_gradients(
     ).T
     del signed, live
 
+    # each block's signs are widened once, into one float64 buffer, so the
+    # product reads no int8 operand (scipy would convert it in a fresh copy)
+    widened = np.empty((m, d))
+
     def scattered(b: int) -> np.ndarray:
-        return incidence @ signs[b, :k]
+        np.copyto(widened[:k], signs[b, :k])
+        return incidence @ widened[:k]
 
     # Backward, last layer first, over the rows that carry gradient. Layer
     # l's gradient is 0 outside its row set, which starts at the hot rows:
@@ -254,16 +263,17 @@ def _half_gradient(
     scattered: Callable[[int], np.ndarray],
     row_sets: list[np.ndarray],
     carries: list[sp.csc_matrix],
-    dropout_mask: np.ndarray | None,
+    dropout_mask: DropoutMask | None,
     enc_config: EncoderConfig,
 ) -> np.ndarray:
     """The fused layer's gradient in the d columns from `half` of each layer,
     at `row_sets[-1]`; `scattered(b)` is the hinge gradient of column block
     b of the global embedding. It runs compacted to the front of one
     entity-sized buffer, and a carried product, once compacted, is the spare
-    buffer of the next gate or of the dropout mask. Every buffer has the
-    same size in every epoch, so each epoch reuses the heap chunks of the
-    last one instead of fragmenting the heap."""
+    buffer of the next gate. The dropout mask's keep bits are gathered into
+    an entity-sized bool buffer. Every buffer has the same size in every
+    epoch, so each epoch reuses the heap chunks of the last one instead of
+    fragmenting the heap."""
     n, d = layers.shape[0], enc_config.dim
     w = 2 * d
     x = np.empty((n, d))
@@ -283,8 +293,11 @@ def _half_gradient(
             spare += scattered(block - 2 * (step + 1))
         np.take(spare, reach, axis=0, out=x[: len(reach)], mode="clip")
     x = x[: len(row_sets[-1])]
+    del spare
     if dropout_mask is not None:
-        x *= _take_columns(dropout_mask, row_sets[-1], half, d, spare[: len(x)])
+        keep = np.empty((n, d), dtype=bool)[: len(x)]
+        x *= _take_columns(dropout_mask.keep, row_sets[-1], half, d, keep)
+        x *= dropout_mask.scale
     return x
 
 
@@ -343,13 +356,14 @@ def train_on_union(
         rng = np.random.default_rng(train_config.rng_seed)
     opt = OptimizerState.zeros_like(state)
     losses: list[float] = []
-    # one layer buffer and one mask buffer serve every epoch
+    # one layer buffer and one keep-bit buffer serve every epoch
     n = union_kg.entity_count
     layers = np.empty((n, 2 * state.dim * enc_config.layers))
-    mask = np.empty((n, 2 * state.dim)) if train_config.dropout_rate > 0 else None
+    keep = np.empty((n, 2 * state.dim), dtype=bool) if train_config.dropout_rate > 0 else None
+    mask = None
     for _ in range(train_config.epochs):
-        if mask is not None:
-            make_dropout_mask(rng, mask.shape, train_config.dropout_rate, out=mask)
+        if keep is not None:
+            mask = make_dropout_mask(rng, keep.shape, train_config.dropout_rate, out=keep)
         negs = sample_negatives(seeds, kg_sizes, train_config.negatives_per_pair, rng)
         batch = TripletBatch.build(seeds, negs, entity_offset=kg_sizes[0])
         loss, g_ent, g_rel = compute_gradients(

@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from tkgalign import aligner, timesim
+from tkgalign import aligner, encoder, timesim
 from tkgalign.aligner import (
     AlignConfig,
     _normalize_rows,
@@ -118,6 +119,13 @@ class TestEmbeddingSimilarity:
         sim = embedding_similarity(g1, g2, [0], [0, 1])
         assert not sim.dense.any()
 
+    @pytest.mark.parametrize("src,tgt", [([0, 3], [0]), ([-1], [0]), ([0], [2])])
+    def test_an_id_outside_its_graph_is_rejected_on_construction(self, src, tgt):
+        # the source rows are gathered only as blocks are read, so their
+        # ids are checked up front
+        with pytest.raises(IndexError):
+            embedding_similarity(np.ones((3, 2)), np.ones((2, 2)), src, tgt)
+
     def test_matches_double_loop_cosine_oracle(self):
         rng = np.random.default_rng(0)
         g1, g2 = rng.normal(size=(2, 20, 6))
@@ -134,7 +142,7 @@ def cosine_pool(shape, seed=0):
     rng = np.random.default_rng(seed)
     g1, g2 = rng.normal(size=(shape[0], 6)), rng.normal(size=(shape[1], 6))
     sim = embedding_similarity(g1, g2, range(shape[0]), range(shape[1]))
-    return sim, _normalize_rows(g1), _normalize_rows(g2)
+    return sim, _normalize_rows(g1.copy()), _normalize_rows(g2.copy())
 
 
 def check_pass(sim, a, b):
@@ -315,6 +323,30 @@ class TestCSLS:
             a = np.argmax(csls_rescale(matrix(s), 10).dense, axis=1)
             b = np.argmax(csls_rescale(matrix(shifted), 10).dense, axis=1)
             assert a[7] == b[7]
+
+    # one row (or column) per chunk, a few per chunk, and the default, one chunk
+    @pytest.mark.parametrize("chunk_bytes", [8, 8 * 40 * 3 + 8, None])
+    def test_chunked_tops_equal_one_call_over_the_block(self, monkeypatch, chunk_bytes):
+        """`_row_tops` and the whole-column merge of `_merge_column_tops`
+        run a chunk of rows or columns at a time. Each row or column is
+        reduced on its own, so they equal one argpartition, and one
+        partition of the whole hstack, bit for bit; the values are quarters
+        from a few levels, so most rows and columns hold ties."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(encoder, "_ROW_BLOCK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(8)
+        block = rng.integers(0, 6, size=(37, 40)) / 4
+        block[:, 5] = block[:, 6]
+        for k in (1, 7, 40):
+            assert np.array_equal(aligner._row_tops(block, k),
+                                  np.argpartition(block, 40 - k, axis=1)[:, 40 - k :])
+        for m in (1, 2, 10):
+            top = np.sort(rng.integers(-3, 1, size=(40, m)) / 4, axis=1)
+            top[::9] = -np.inf  # columns that have seen no row yet
+            merged = np.hstack([top, block.T])
+            merged.partition(len(block), axis=1)
+            aligner._merge_column_tops(top, block)
+            assert np.array_equal(top, merged[:, len(block) :])
 
 
 class TestPredict:
@@ -834,6 +866,43 @@ class TestIterate:
                                       np.unique(refs.sources), np.unique(refs.targets))
         assert np.array_equal(result.similarity.rows(0, expected.shape[0]),
                               expected.rows(0, expected.shape[0]))
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_no_earlier_scores_alive_when_training_or_scoring_starts(
+        self, tiny_benchmark, monkeypatch, iterations
+    ):
+        """A pseudo-pair call's CSLS scores, its read-ahead and every
+        operand and output array of its products are freed with the call:
+        none is alive when the next training run or scoring call starts,
+        the final one included. Checked by reference count alone, with no
+        collection."""
+        earlier, alive_at = [], []
+
+        def owner(x):
+            return x if x.base is None else x.base
+
+        def wrapped(name, fn, track):
+            def call(*args):
+                if name in ("train_on_union", "_scored_similarity"):
+                    alive_at.append((name, len(earlier), [r for r in earlier if r() is not None]))
+                result = fn(*args)
+                earlier.extend(weakref.ref(x) for x in track(args, result))
+                return result
+            return call
+
+        for name, track in (
+            ("train_on_union", lambda args, result: ()),
+            ("embedding_similarity", lambda args, emb: (emb.rows,)),  # the read-ahead
+            ("_scored_similarity", lambda args, sim: (sim,)),
+            ("_product", lambda args, out: map(owner, args)),  # a, b and out
+        ):
+            monkeypatch.setattr(aligner, name, wrapped(name, getattr(aligner, name), track))
+        result, _ = run_iterate(tiny_benchmark, iterations=iterations)
+        names = [name for name, _, _ in alive_at]
+        assert names.count("train_on_union") == iterations and names[-1] == "_scored_similarity"
+        assert alive_at[-1][1] >= 5  # a pseudo call's read-ahead, scores, a, b and out
+        assert all(not alive for _, _, alive in alive_at)
+        assert any(r() is result.similarity for r in earlier)  # the final scores stay
 
     def test_empty_seeds_rejected(self, tiny_benchmark):
         kg1, kg2, _, refs, tm = tiny_benchmark

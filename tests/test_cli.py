@@ -157,6 +157,29 @@ def test_eval_command_reports_a_bad_prediction_line(tmp_path, bench_dir, capsys)
     assert "preds.tsv:2: non-float score" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    {"ks": [1, 10]}, {"ks": [3]}, {"bidirectional": True}, {"ks": [1], "bidirectional": True},
+])
+def test_eval_command_rejects_what_a_prediction_file_cannot_report(tmp_path, bench_dir, capsys,
+                                                                   section):
+    cfg_path, _ = write_config(tmp_path, bench_dir, eval=section)
+    (tmp_path / "preds.tsv").write_text("0\t0\t0.5\n")
+    assert main(["eval", str(cfg_path), "--predictions", str(tmp_path / "preds.tsv")]) == 2
+    captured = capsys.readouterr()
+    assert "reports source-side hits@1 only" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("section", [None, {}, {"ks": [1]}, {"bidirectional": False},
+                                     {"ks": [1], "bidirectional": False}])
+def test_eval_command_takes_an_eval_section_of_one_way_hits_at_1(tmp_path, bench_dir, capsys,
+                                                                 section):
+    cfg_path, _ = write_config(tmp_path, bench_dir, **({} if section is None else {"eval": section}))
+    (a, b), *_ = read_pairs(bench_dir / "ref_pairs").pairs
+    (tmp_path / "preds.tsv").write_text(f"{a}\t{b}\t0.5\n")
+    assert main(["eval", str(cfg_path), "--predictions", str(tmp_path / "preds.tsv")]) == 0
+    assert "predicted: 1  hits@1:" in capsys.readouterr().out
+
+
 def test_invalid_config_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"dataset": str(tmp_path / "nope")}))

@@ -225,18 +225,31 @@ class TestForward:
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 0.9])
     def test_dropout_mask_equals_the_cast_and_divide_expression(self, rate):
-        mask = make_dropout_mask(np.random.default_rng(3), (40, 12), rate)
-        keep = np.random.default_rng(3).random((40, 12)) >= rate
-        assert mask.dtype == np.float64
-        assert np.array_equal(mask, keep.astype(np.float64) / (1.0 - rate))
-        # drawn into a buffer: the same mask, and the generator left where a
-        # fresh draw of the same shape leaves it
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        out = np.full((40, 12), np.nan)
-        assert make_dropout_mask(rng, (40, 12), rate, out=out) is out
-        assert np.array_equal(out, mask)
-        ref.random((40, 12))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        """The keep bits times the scale are the float mask of one draw,
+        bit for bit, drawn into a buffer or not; the generator is left where
+        that draw leaves it; and applying the bits then the scale multiplies
+        by that mask bit for bit, signed zeros and infinities included."""
+        shape = (400, 12)  # several row blocks of the draw
+        expected = (np.random.default_rng(3).random(shape) >= rate).astype(np.float64) / (
+            1.0 - rate)
+        h = np.random.default_rng(4).normal(size=shape)
+        h[::7, 3], h[1::7, 5], h[2::7, 8] = -0.0, np.inf, -np.inf
+        for into in (False, True):
+            rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+            out = np.ones(shape, dtype=bool) if into else None
+            mask = make_dropout_mask(rng, shape, rate, out=out)
+            assert mask.keep.dtype == np.bool_ and mask.keep.shape == shape
+            assert mask.keep is out if into else True
+            assert mask.scale == 1.0 / (1.0 - rate)
+            for scaled in (mask.keep * mask.scale, np.asarray(mask)):
+                assert np.array_equal(scaled.view(np.int64), expected.view(np.int64))
+            ref.random(shape)
+            assert np.array_equal(rng.random(17), ref.random(17))
+            applied = h.copy()
+            with np.errstate(invalid="ignore"):  # inf * 0
+                applied *= mask.keep
+                applied *= mask.scale
+                assert np.array_equal(applied.view(np.int64), (h * expected).view(np.int64))
 
     # one row block of the draw is 163 rows of 200 columns
     @pytest.mark.parametrize("shape", [(1, 200), (163, 200), (2000, 200), (7, 3), (5, 1)])
@@ -244,17 +257,20 @@ class TestForward:
     @pytest.mark.parametrize("into", [False, True])
     def test_blocked_dropout_draw_equals_one_draw(self, shape, rate, into):
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        out = np.full(shape, np.nan) if into else None
+        out = np.zeros(shape, dtype=bool) if into else None
         mask = make_dropout_mask(rng, shape, rate, out=out)
-        assert mask is out if into else mask.shape == shape
+        assert mask.keep is out if into else mask.keep.shape == shape
         expected = (ref.random(shape) >= rate) * (1.0 / (1.0 - rate))
-        assert mask.dtype == np.float64
-        assert np.array_equal(mask, expected)
+        assert mask.keep.dtype == np.bool_
+        assert np.array_equal(np.asarray(mask), expected)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_dropout_buffer_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             make_dropout_mask(np.random.default_rng(0), (4, 3), 0.3, out=np.empty((3, 4)))
+        # the keep bits are bool: a float64 buffer of the right shape is rejected too
+        with pytest.raises(ValueError, match="not bool"):
+            make_dropout_mask(np.random.default_rng(0), (4, 3), 0.3, out=np.empty((4, 3)))
 
     def test_zero_rate_mask_is_identity(self):
         rng = np.random.default_rng(15)

@@ -485,7 +485,7 @@ class TestGradients:
         sizes = (n1, ukg.entity_count - n1)
         # NaN-filled, so a value the pass does not write shows in the result
         layers_out = np.full((ukg.entity_count, 2 * enc.dim * enc.layers), np.nan)
-        mask_out = np.full((ukg.entity_count, 2 * enc.dim), np.nan)
+        mask_out = np.ones((ukg.entity_count, 2 * enc.dim), dtype=bool)
         opt = OptimizerState.zeros_like(state)
         rng = np.random.default_rng(seed)
         for count in (4, 1, 3, 2):
