@@ -9,9 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .kg import AlignmentPairSet
-from .timesim import SimilarityMatrix
+from .timesim import SimilarityMatrix, entry_chunks
 
-# exact-match scores 2c/(m+n) are not always representable; absorb rounding
+# a built time matrix stores an exact match as exactly 1.0 (2c = m + n, and
+# x / x is exact); the tolerance only serves hand-built score matrices
 EXACT_MATCH_TOL = 1e-12
 
 
@@ -19,10 +20,15 @@ def generate_seeds(time_sim: SimilarityMatrix) -> AlignmentPairSet:
     if time_sim.kind != "time":
         raise ValueError("seed generation expects a time similarity matrix")
     s = time_sim.scores
-    # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset
-    # keeps the exact test from allocating a float per stored score
-    near = np.flatnonzero(s.data >= 1.0 - 2.0 * EXACT_MATCH_TOL)
-    hits = near[np.abs(s.data[near] - 1.0) <= EXACT_MATCH_TOL]
+    # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset,
+    # taken a chunk of stored scores at a time, keeps the exact test from
+    # allocating anything as long as the stored scores
+    hits = [np.empty(0, dtype=np.intp)]
+    for lo, hi in entry_chunks(s.nnz):
+        x = s.data[lo:hi]
+        near = np.flatnonzero(x >= 1.0 - 2.0 * EXACT_MATCH_TOL)
+        hits.append(lo + near[np.abs(x[near] - 1.0) <= EXACT_MATCH_TOL])
+    hits = np.concatenate(hits)
     rows = np.searchsorted(s.indptr, hits, side="right") - 1
     cols = s.indices[hits]
     unique = (np.bincount(rows, minlength=s.shape[0])[rows] == 1) & (

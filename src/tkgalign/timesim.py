@@ -128,9 +128,15 @@ class BlockedScores(ScoreRows):
     kind: str
 
 
-# rows of the time matrix whose scores are finished per step, so the
-# temporaries stay small next to the matrix itself
-_SCALE_ROWS = 1024
+# stored entries of a time matrix that a pass over its values takes per
+# step, so no temporary grows with the stored entries
+_CHUNK_ENTRIES = 1 << 16
+
+
+def entry_chunks(nnz: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi) bounds covering nnz stored entries, _CHUNK_ENTRIES at a time."""
+    for lo in range(0, nnz, _CHUNK_ENTRIES):
+        yield lo, min(lo + _CHUNK_ENTRIES, nnz)
 
 
 def _occurrence_sets(counts: sp.csr_matrix, k: int, width: int) -> sp.csr_matrix:
@@ -160,16 +166,19 @@ def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> Si
     width = max(a.shape[1], b.shape[1])
     k = int(max(a.data.max(initial=0), b.data.max(initial=0), 1))
     scores = _occurrence_sets(a, k, width) @ _occurrence_sets(b, k, width).T
-    m = np.asarray(a.sum(axis=1)).ravel()
-    n = np.asarray(b.sum(axis=1)).ravel()
+    # c / ((m + n) / 2) rounds the same real number as 2c / (m + n): every
+    # operand is an exact small integer or half of one
+    m_half = np.asarray(a.sum(axis=1)).ravel() / 2.0
+    n_half = np.asarray(b.sum(axis=1)).ravel() / 2.0
     ptr = scores.indptr
-    for start in range(0, scores.shape[0], _SCALE_ROWS):
-        stop = min(start + _SCALE_ROWS, scores.shape[0])
-        seg = slice(ptr[start], ptr[stop])
-        denom = np.repeat(m[start:stop], np.diff(ptr[start : stop + 1])) + n[scores.indices[seg]]
-        c = scores.data[seg]
-        c *= 2.0
-        c /= denom
+    for lo, hi in entry_chunks(scores.nnz):
+        # rows [first, last) hold entries [lo, hi); a row that a chunk bound
+        # cuts repeats its half sum only over its entries inside the chunk
+        first = np.searchsorted(ptr, lo, side="right") - 1
+        last = np.searchsorted(ptr, hi, side="left")
+        denom = np.take(n_half, scores.indices[lo:hi])
+        denom += np.repeat(m_half[first:last], np.diff(np.clip(ptr[first : last + 1], lo, hi)))
+        scores.data[lo:hi] /= denom
     return SimilarityMatrix(
         source_ids=np.arange(a.shape[0]),
         target_ids=np.arange(b.shape[0]),

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from tkgalign.seeds import generate_seeds
-from tkgalign.timesim import SimilarityMatrix
+from tkgalign.timesim import SimilarityMatrix, build_time_similarity_matrix
 
 
 def time_matrix(scores):
@@ -84,3 +86,42 @@ def test_id_mapping_respected():
         kind="time",
     )
     assert generate_seeds(m).as_set() == {(5, 7), (9, 3)}
+
+
+def signature_pairs(a, b):
+    """Pairs whose non-empty (timestamp, count) signatures are equal and
+    occur exactly once on each side, read from the count rows: the seed
+    rule by brute force."""
+    def keys(m):
+        return [frozenset(zip(m[i].indices.tolist(), m[i].data.tolist())) for i in range(m.shape[0])]
+
+    key1, key2 = keys(a), keys(b)
+    count1, count2 = Counter(key1), Counter(key2)
+    pos2 = {k: j for j, k in enumerate(key2)}
+    return {(i, pos2[k]) for i, k in enumerate(key1) if k and count1[k] == 1 and count2[k] == 1}
+
+
+def random_counts(rng, n, vocab):
+    rows = np.repeat(np.arange(n), rng.integers(0, 4, n))
+    cols = rng.integers(1, vocab, len(rows))
+    return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, vocab))
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_seeds_equal_the_unique_signatures_of_the_counts(trial):
+    rng = np.random.default_rng(trial)
+    a = random_counts(rng, 60, 8).tolil()
+    b = random_counts(rng, 50, 8).tolil()
+    # planted equal signatures, multiplicities up to 3
+    for i, j in zip(rng.choice(60, 15, replace=False), rng.choice(50, 15, replace=False)):
+        a[i] = 0
+        a[i, rng.choice(np.arange(1, 8), 3, replace=False)] = rng.integers(1, 4, 3)
+        b[j] = a[i]
+    # planted collisions: a signature repeated on one side
+    for side, n in ((a, 60), (b, 50)):
+        src, dst = rng.choice(n, 2, replace=False)
+        side[dst] = side[src]
+    a, b = a.tocsr(), b.tocsr()
+    expected = signature_pairs(a, b)
+    got = generate_seeds(build_time_similarity_matrix(a, b)).as_set()
+    assert got == expected and len(expected) > 3

@@ -1,10 +1,13 @@
+import tracemalloc
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from tkgalign import timesim
 from tkgalign.aligner import combine, csls_rescale, predict
 from tkgalign.kg import TemporalKG
 from tkgalign.seeds import generate_seeds
@@ -159,6 +162,95 @@ class TestMatrix:
         multi = build_time_similarity_matrix(counts(cases[1][0]), counts(cases[1][1]))
         assert multi.dense[0, 0] == 0.75
         assert sim.scores.nnz == 0 and len(generate_seeds(sim)) == 0
+
+
+def long_row_case(length):
+    """Source row 0 shares timestamp 1 with all `length` targets; row 1 is
+    empty."""
+    kinds = [Counter({1: 1}), Counter({1: 2, 2: 1}), Counter({1: 5, 3: 1}), Counter({1: 1, 2: 4})]
+    return ([Counter({1: 2, 2: 1}), Counter(), Counter({1: 1, 2: 5})],
+            [kinds[j % 4] for j in range(length)])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestExactScores:
+    """Every stored score is bit for bit `time_similarity` of its two rows
+    and the whole-array 2c / (m + n) with integer denominators, whatever
+    the number of entries the matrix is finished in per step."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_stored_scores_equal_both_oracles(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(timesim, "_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(3)
+        cases = [
+            (random_dict(rng, 30, max_stamps=8, vocab=6), random_dict(rng, 25, max_stamps=8, vocab=6)),
+            # multiplicities up to 5, and empty rows on both sides
+            ([Counter([5] * 5), Counter([5, 5, 2]), Counter(), Counter([2] * 4 + [7])],
+             [Counter([5] * 3), Counter(), Counter([2, 5, 5, 5, 5, 5]), Counter([9]), Counter([7] * 5)]),
+            # a side with no timestamps
+            (random_dict(rng, 4), [Counter()] * 3),
+            # no pair shares a timestamp: nothing is stored
+            ([Counter([1, 2]), Counter([3])], [Counter([4]), Counter([5, 5])]),
+            long_row_case(timesim._CHUNK_ENTRIES + 2),
+        ]
+        for d1, d2 in cases:
+            a, b = counts(d1), counts(d2)
+            built = build_time_similarity_matrix(a, b).scores
+            width = max(a.shape[1], b.shape[1])
+            a, b = (np.pad(x.toarray(), ((0, 0), (0, width - x.shape[1]))) for x in (a, b))
+            c = np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2)
+            with np.errstate(invalid="ignore"):  # 0 / 0 where both rows are empty, never stored
+                whole = 2.0 * c / (a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :])
+            stored = built.tocoo()
+            assert sorted(zip(stored.row.tolist(), stored.col.tolist())) == list(zip(*np.nonzero(c)))
+            assert np.array_equal(bits(stored.data), bits(whole[stored.row, stored.col]))
+            key2 = [frozenset(t.items()) for t in d2]
+            pairwise = lru_cache(maxsize=None)(lambda i, k: time_similarity(d1[i], Counter(dict(k))))
+            oracle = [pairwise(i, key2[j]) for i, j in zip(stored.row.tolist(), stored.col.tolist())]
+            assert np.array_equal(bits(stored.data), bits(oracle))
+        assert built.shape[0] == 3 and built.indptr[1] == timesim._CHUNK_ENTRIES + 2
+
+
+def random_pair(n=2500, vocab=16, seed=0):
+    """Count matrices of two sides whose rows nearly all share a timestamp:
+    about 5.5M stored scores, and a few thousand unique exact matches."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), rng.integers(4, 9, n))
+    cols = rng.integers(1, vocab, len(rows))
+    a = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, vocab))
+    return a, a[rng.permutation(n)]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the bytes its traced peak rose above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """No transient of the build or of the seed scan grows with the stored
+    scores (tracemalloc sees numpy's and scipy's buffers)."""
+
+    def test_build_holds_little_beside_its_result(self):
+        a, b = random_pair()
+        built, peak = traced_peak(build_time_similarity_matrix, a, b)
+        s = built.scores
+        assert s.nnz > 5_000_000
+        assert peak - (s.data.nbytes + s.indices.nbytes + s.indptr.nbytes) < 3 << 20
+
+    def test_seed_scan_holds_little(self):
+        sim = build_time_similarity_matrix(*random_pair())
+        seeds, peak = traced_peak(generate_seeds, sim)
+        assert len(seeds) and peak < 512 << 10
 
 
 def shuffled_rows(m, rng):
