@@ -20,9 +20,7 @@ from .aligner import (
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
-    aggregate_layer,
     forward,
-    fuse_features,
     init_embeddings,
 )
 from .evaluate import EvalConfig, EvalReport, RowRanks, evaluate, rank_of_truth
@@ -49,7 +47,6 @@ from .trainer import (
     compute_gradients,
     optimizer_step,
     sample_negatives,
-    train,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -395,9 +395,9 @@ def iterate(
     Each iteration trains for train_config.epochs on the current pool, then
     adds mutually nearest pairs among not-yet-aligned entities to the pool as
     pseudo seeds. Pseudo pairs accumulate and are never revoked. Final
-    predictions are decoded over the reference pool when given, and the
-    same pass ranks each reference in its row; otherwise they are decoded
-    over the entities outside the training pool.
+    predictions are decoded over the reference pool when `references` holds
+    a pair, and the same pass ranks each reference in its row; otherwise
+    they are decoded over the entities outside the training pool.
 
     `time_matrix` must cover all entities of both graphs (rows = G1 ids,
     columns = G2 ids). Raises FloatingPointError when training leaves a
@@ -441,7 +441,8 @@ def iterate(
                 pool = pool.extended(pseudo)
         report.append((it, added, len(pool)))
 
-    if references is not None and len(references):
+    has_refs = references is not None and len(references) > 0
+    if has_refs:
         pred_src = np.unique(references.sources)
         pred_tgt = np.unique(references.targets)
     else:
@@ -455,7 +456,7 @@ def iterate(
         # the last iteration's embedding, unless it scored nothing
         g = forward(state, union, enc_config) if g is None else g
         similarity = _scored_similarity(g, n1, align_config, time_matrix, pred_src, pred_tgt)
-        if references is not None and len(references):
+        if has_refs:
             predictions, ranked = predict_and_rank(similarity, references)
         else:
             predictions = predict(similarity)

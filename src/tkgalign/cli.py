@@ -44,10 +44,15 @@ ABLATION_ALIASES = {
 
 def load_config(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
-        cfg = yaml.safe_load(f)
+        try:
+            cfg = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"{path}:{mark.line + 1}" if mark else str(path)
+            raise ConfigError(f"{where}: invalid YAML: {getattr(exc, 'problem', exc)}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
     return cfg
@@ -62,23 +67,42 @@ def _build(cls, section: dict, name: str):
         raise ConfigError(f"invalid value in [{name}] section: {exc}") from None
 
 
+def _layout(ds) -> kg_io.DatasetLayout:
+    """The files a `dataset` entry names: a directory, or a mapping of file
+    paths with `quads1` and `quads2` required."""
+    if isinstance(ds, str):
+        return kg_io.DatasetLayout.from_dir(ds)
+    if not isinstance(ds, dict):
+        raise ConfigError(f"'dataset' must be a directory or a mapping of file paths, got {ds!r}")
+    keys = ("quads1", "quads2", "sup_pairs", "ref_pairs")
+    unknown = [k for k in ds if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key in 'dataset': {', '.join(map(repr, unknown))}")
+    for k in keys:
+        v = ds.get(k)
+        # the pair files may be left out or null; the quadruple files may not
+        if not isinstance(v, str) and (v is not None or k in keys[:2]):
+            raise ConfigError(f"dataset {k} must be a path string, got {v!r}")
+    q1, q2, sup, ref = (ds.get(k) for k in keys)
+    return kg_io.DatasetLayout(Path(q1), Path(q2), *(Path(p) if p else None for p in (sup, ref)))
+
+
+def _output_dir(cfg: dict, override: str | Path | None) -> Path:
+    """`override` (--output-dir) when given, else the config's output_dir."""
+    out = override or cfg.get("output_dir", "out")
+    if not isinstance(out, (str, Path)):
+        raise ConfigError(f"output_dir must be a path string, got {out!r}")
+    return Path(out)
+
+
 def parse_configs(
     cfg: dict,
 ) -> tuple[kg_io.DatasetLayout, EncoderConfig, TrainConfig, AlignConfig, EvalConfig]:
     if "dataset" not in cfg:
         raise ConfigError("config needs a 'dataset' entry")
-    ds = cfg["dataset"]
-    if isinstance(ds, str):
-        layout = kg_io.DatasetLayout.from_dir(ds)
-    else:
-        layout = kg_io.DatasetLayout(
-            quads1=Path(ds["quads1"]),
-            quads2=Path(ds["quads2"]),
-            sup_pairs=Path(ds["sup_pairs"]) if ds.get("sup_pairs") else None,
-            ref_pairs=Path(ds["ref_pairs"]) if ds.get("ref_pairs") else None,
-        )
+    layout = _layout(cfg["dataset"])
     for p in (layout.quads1, layout.quads2):
-        if not Path(p).exists():
+        if not Path(p).is_file():
             raise ConfigError(f"quadruple file missing: {p}")
     enc = _build(EncoderConfig, cfg.get("encoder"), "encoder")
     trn = _build(TrainConfig, cfg.get("train"), "train")
@@ -93,7 +117,7 @@ def run_alignment(
     """Full pipeline: load, (generate seeds if none), train/bootstrap,
     predict, evaluate, write artifacts. Returns (report, result, summary)."""
     layout, enc, trn, aln, ev = parse_configs(cfg)
-    out = Path(out_dir or cfg.get("output_dir", "out"))
+    out = _output_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
@@ -111,8 +135,7 @@ def run_alignment(
 
     state = init_embeddings(enc, kg1.entity_count + kg2.entity_count,
                             kg1.relation_count + kg2.relation_count)
-    result = iterate(state, kg1, kg2, seeds, enc, trn, aln, time_matrix,
-                     references=refs if len(refs) else None)
+    result = iterate(state, kg1, kg2, seeds, enc, trn, aln, time_matrix, references=refs)
 
     kg_io.write_predictions(result.predictions, out / "predictions.tsv")
     with open(out / "loss.csv", "w", newline="", encoding="utf-8") as f:
@@ -187,7 +210,7 @@ def cmd_align(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    out = Path(args.output_dir or cfg.get("output_dir", "out"))
+    out = _output_dir(cfg, args.output_dir)
     full_report, _, _ = run_alignment(cfg, out / "full")
     ablated_cfg = apply_ablation(cfg, args.component)
     abl_report, _, _ = run_alignment(ablated_cfg, out / f"ablate_{ABLATION_ALIASES[args.component.lower()]}")
@@ -211,7 +234,7 @@ def cmd_sweep(args) -> int:
     if not args.values:
         raise ConfigError("sweep needs at least one value")
     section, field_name, cast = SWEEP_TARGETS[args.parameter]
-    out = Path(args.output_dir or cfg.get("output_dir", "out"))
+    out = _output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for raw in args.values:
@@ -265,7 +288,7 @@ def _pair_keys(*sets: AlignmentPairSet) -> list[np.ndarray]:
 def cmd_seeds(args) -> int:
     cfg = load_config(args.config)
     layout, *_ = parse_configs(cfg)
-    out = Path(args.output_dir or cfg.get("output_dir", "out"))
+    out = _output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     kg1, kg2, _, _, refs = kg_io.load_dataset(layout)
     matrix = build_time_similarity_matrix(build_time_dictionary(kg1), build_time_dictionary(kg2))

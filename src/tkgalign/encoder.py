@@ -9,7 +9,7 @@ concatenates all layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -155,27 +155,6 @@ def _rows_only(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     indptr[rows + 1] = np.diff(kept.indptr)
     np.cumsum(indptr, out=indptr)
     return sp.csr_matrix((kept.data, kept.indices, indptr), shape=op.shape)
-
-
-def fuse_features(state: EmbeddingState, kg: TemporalKG, config: EncoderConfig) -> np.ndarray:
-    """Layer-1 features: [mean neighbor embedding || mean relation embedding]
-    per entity, width 2d. Entities with no incident relations get a zero
-    relational half. With ablate_relation_fusion the relational half is a
-    second copy of the structural half (width preserved)."""
-    d = state.dim
-    out = np.empty((kg.entity_count, 2 * d))
-    out[:, :d] = kg.mean_operator @ state.entity_table
-    if config.ablate_relation_fusion:
-        out[:, d:] = out[:, :d]
-    else:
-        out[:, d:] = kg.relation_operator @ state.relation_table
-    return out
-
-
-def aggregate_layer(prev: np.ndarray, kg: TemporalKG) -> np.ndarray:
-    """One aggregation step: rectified neighborhood mean of the previous
-    layer's rows (self included)."""
-    return np.maximum(kg.mean_operator @ prev, 0.0)
 
 
 def forward_layers(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import check_field_types
 from .io import DatasetLayout, write_pairs
 from .kg import AlignmentPairSet
 
@@ -25,6 +26,20 @@ class SynthParams:
     seed_pairs: int = 50
     unique_times: bool = True
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if (self.entities < 2 or self.relations < 1 or self.timestamps < 1
+                or self.quads_per_entity < 0):
+            raise ValueError("entities must be >= 2, relations and timestamps >= 1, and "
+                             "quads_per_entity >= 0")
+        if not 0 <= self.seed_pairs <= self.entities:
+            raise ValueError(f"seed_pairs must be in [0, entities], got {self.seed_pairs}")
+        for name in ("interval_fraction", "edge_noise", "time_noise"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        if self.interval_fraction > 0 and self.timestamps < 2:
+            raise ValueError("an interval draws two distinct timestamps: timestamps must be >= 2")
 
 
 @dataclass

@@ -8,7 +8,7 @@ applied with an RMSProp update.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ from .encoder import (
     forward_layers,
     make_dropout_mask,
 )
-from .kg import AlignmentPairSet, TemporalKG, union_graph
+from .kg import AlignmentPairSet, TemporalKG
 
 
 @dataclass
@@ -373,19 +373,3 @@ def train_on_union(
         losses.append(loss)
     return losses
 
-
-def train(
-    state: EmbeddingState,
-    kg1: TemporalKG,
-    kg2: TemporalKG,
-    seeds: AlignmentPairSet,
-    enc_config: EncoderConfig,
-    train_config: TrainConfig,
-) -> tuple[EmbeddingState, list[float]]:
-    """Train the tables on a graph pair; returns (state, loss trajectory).
-    Deterministic given train_config.rng_seed."""
-    union = union_graph(kg1, kg2)
-    losses = train_on_union(
-        state, union, (kg1.entity_count, kg2.entity_count), seeds, enc_config, train_config
-    )
-    return state, losses

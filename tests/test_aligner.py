@@ -37,7 +37,9 @@ from tkgalign.timesim import (
     build_time_dictionary,
     build_time_similarity_matrix,
 )
-from tkgalign.trainer import TrainConfig, train
+from tkgalign.trainer import TrainConfig
+
+from test_trainer import train
 
 
 def matrix(scores, kind="combined", source_ids=None, target_ids=None):

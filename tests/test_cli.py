@@ -252,6 +252,47 @@ def test_missing_config_nonzero_exit(tmp_path, capsys):
     assert main(["align", str(tmp_path / "absent.yaml")]) == 2
 
 
+def pair_files(bench_dir, **extra):
+    return {"quads1": str(bench_dir / "triples_1"), "quads2": str(bench_dir / "triples_2"),
+            **extra}
+
+
+# each a config (YAML text, or a function of the dataset directory giving
+# the parsed config) and the text its error names
+@pytest.mark.parametrize("config,message", [
+    ("dataset: [1", "config.yaml:1: invalid YAML"),
+    ("output_dir: out\ndataset: [1\nencoder: {}\n", "config.yaml:3: invalid YAML"),
+    ("dataset: {quads1: a}\n", "dataset quads2 must be a path string"),
+    ("dataset: 5\n", "'dataset' must be a directory or a mapping"),
+    (lambda d: {"dataset": pair_files(d, sup_pairs=5)}, "dataset sup_pairs must be a path string"),
+    (lambda d: {"dataset": pair_files(d, quads3="x")}, "unknown key in 'dataset': 'quads3'"),
+    (lambda d: {"dataset": pair_files(d, quads1=str(d))}, "quadruple file missing"),
+    (lambda d: {"dataset": str(d), "output_dir": 5}, "output_dir must be a path string"),
+    (None, "config file not found"),
+], ids=["yaml", "yaml-line", "no-quads2", "int-dataset", "int-sup-pairs", "unknown-key",
+        "directory-quads1", "int-output-dir", "directory"])
+@pytest.mark.parametrize("command", ["align", "seeds"])
+def test_malformed_config_exits_2_without_a_traceback(tmp_path, bench_dir, capsys, config,
+                                                      message, command):
+    path = tmp_path / "config.yaml"
+    if config is None:
+        path.mkdir()
+    elif callable(config):
+        path.write_text(yaml.safe_dump(config(bench_dir)))
+    else:
+        path.write_text(config)
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in out + err
+
+
+def test_out_of_range_synth_parameters_exit_2(tmp_path, capsys):
+    assert main(["synth", str(tmp_path / "d"), "--entities", "20", "--seed-pairs", "-1"]) == 2
+    assert "error: seed_pairs must be in [0, entities]" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_reproducible_artifacts(tmp_path, bench_dir):
     cfg_path, cfg = write_config(tmp_path, bench_dir, train={"epochs": 15}, align={"iterations": 1})
     run_alignment(cfg, tmp_path / "r1")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from tkgalign.encoder import (
+    EmbeddingState,
     EncoderConfig,
-    aggregate_layer,
     forward,
     forward_layers,
-    fuse_features,
     init_embeddings,
     make_dropout_mask,
 )
@@ -42,6 +41,27 @@ def global_embedding(layer_outputs, ablate_global_concat=False):
     if ablate_global_concat or len(layer_outputs) == 1:
         return layer_outputs[-1]
     return np.hstack(layer_outputs)
+
+
+def fuse_features(state: EmbeddingState, kg: TemporalKG, config: EncoderConfig) -> np.ndarray:
+    """Layer-1 features: [mean neighbor embedding || mean relation embedding]
+    per entity, width 2d. Entities with no incident relations get a zero
+    relational half. With ablate_relation_fusion the relational half is a
+    second copy of the structural half (width preserved)."""
+    d = state.dim
+    out = np.empty((kg.entity_count, 2 * d))
+    out[:, :d] = kg.mean_operator @ state.entity_table
+    if config.ablate_relation_fusion:
+        out[:, d:] = out[:, :d]
+    else:
+        out[:, d:] = kg.relation_operator @ state.relation_table
+    return out
+
+
+def aggregate_layer(prev: np.ndarray, kg: TemporalKG) -> np.ndarray:
+    """One aggregation step: rectified neighborhood mean of the previous
+    layer's rows (self included)."""
+    return np.maximum(kg.mean_operator @ prev, 0.0)
 
 
 def list_forward_layers(state, kg, config, dropout_mask=None):

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from tkgalign.io import load_dataset
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
@@ -59,3 +60,31 @@ def test_seed_and_reference_split_is_a_partition():
     ref = set(ds.ref_pairs)
     assert not sup & ref
     assert len(sup | ref) == 40
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed_pairs", -1), ("seed_pairs", 41), ("edge_noise", -3.0), ("time_noise", 7.0),
+    ("interval_fraction", 1.5), ("edge_noise", float("nan")), ("entities", 1),
+    ("relations", 0), ("timestamps", 0), ("quads_per_entity", -1), ("entities", 40.0),
+    ("seed_pairs", True), ("unique_times", 1),
+])
+def test_out_of_range_or_mistyped_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        params(**{field: value})
+
+
+def test_an_interval_needs_two_timestamps():
+    with pytest.raises(ValueError, match="timestamps must be >= 2"):
+        params(timestamps=1)
+    ds = make_benchmark(params(timestamps=1, interval_fraction=0.0, unique_times=False))
+    assert {(tb, te) for *_, tb, te in ds.quads1} == {("1", "1")}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(seed_pairs=0), dict(seed_pairs=40), dict(edge_noise=1.0, time_noise=1.0),
+    dict(entities=2, relations=1, timestamps=2, interval_fraction=1.0, unique_times=False,
+         seed_pairs=1),
+])
+def test_range_edges_accepted(kw):
+    ds = make_benchmark(params(**kw))
+    assert len(ds.sup_pairs) + len(ds.ref_pairs) == ds.entity_perm.size

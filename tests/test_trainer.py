@@ -21,7 +21,6 @@ from tkgalign.trainer import (
     compute_gradients,
     optimizer_step,
     sample_negatives,
-    train,
     train_on_union,
 )
 
@@ -662,6 +661,15 @@ def random_union(n_per_side, seed):
         ])
         kgs.append(TemporalKG.build(quads, n_per_side, 8))
     return union_graph(*kgs)
+
+
+def train(state, kg1, kg2, seeds, enc, trn):
+    """Train the tables on a graph pair through `train_on_union`; returns
+    (state, loss trajectory)."""
+    losses = train_on_union(
+        state, union_graph(kg1, kg2), (kg1.entity_count, kg2.entity_count), seeds, enc, trn
+    )
+    return state, losses
 
 
 def toy_pair():
