@@ -36,6 +36,7 @@ from .seeds import generate_seeds
 from .synth import SynthParams, make_benchmark, write_benchmark
 from .timesim import (
     SimilarityMatrix,
+    TimeScores,
     build_time_dictionary,
     build_time_similarity_matrix,
     time_similarity,

@@ -22,7 +22,7 @@ import numpy as np
 from .encoder import EmbeddingState, EncoderConfig, block_rows, check_field_types, forward
 from .evaluate import RowRanks
 from .kg import AlignmentPairSet, TemporalKG, union_graph
-from .timesim import BlockedScores, ScoreRows, SimilarityMatrix
+from .timesim import BlockedScores, ScoreRows, TimeScores
 from .trainer import TrainConfig, train_on_union
 
 
@@ -368,7 +368,7 @@ def _scored_similarity(
     g: np.ndarray,
     n1: int,
     align_config: AlignConfig,
-    time_matrix: SimilarityMatrix,
+    time_matrix: TimeScores,
     source_ids: np.ndarray,
     target_ids: np.ndarray,
 ) -> BlockedScores:
@@ -387,7 +387,7 @@ def iterate(
     enc_config: EncoderConfig,
     train_config: TrainConfig,
     align_config: AlignConfig,
-    time_matrix: SimilarityMatrix,
+    time_matrix: TimeScores,
     references: AlignmentPairSet | None = None,
 ) -> IterationResult:
     """Bootstrapped alignment loop.

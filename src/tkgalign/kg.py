@@ -89,6 +89,7 @@ class TemporalKG:
         _first_bad_row((r < 0) | (r >= relation_count), q, "relation")
         ends = q[:, [HEAD, TAIL]]
         _first_bad_row(((ends < 0) | (ends >= entity_count)).any(axis=1), q, "entity")
+        _first_bad_row(np.minimum(q[:, TIME_BEGIN], q[:, TIME_END]) < 0, q, "time")
         loops = np.arange(entity_count)
         rows = np.concatenate([q[:, HEAD], q[:, TAIL], loops])
         cols = np.concatenate([q[:, TAIL], q[:, HEAD], loops])

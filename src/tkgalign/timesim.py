@@ -4,11 +4,18 @@ Two entities match temporally with score 2c / (m + n), where m and n are the
 sizes of their timestamp multisets and c the multiset-intersection size
 (min of multiplicities per id). The score lives in [0, 1] and equals 1 only
 for identical multisets.
+
+No |E1| x |E2| score matrix is ever stored. `build_time_similarity_matrix`
+returns a `TimeScores` that holds the two count matrices; a scoring call
+restricts their (timestamp, occurrence) sets to its pool once and computes
+each block of rows as one sparse product, finished into scores in place
+(`_score_product`).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -100,22 +107,6 @@ class SimilarityMatrix(ScoreRows):
     def rows(self, start: int, stop: int) -> np.ndarray:
         return self.scores[start:stop].toarray()
 
-    def submatrix(self, row_positions: np.ndarray, col_positions: np.ndarray) -> BlockedScores:
-        """The rows and columns at the given positions, gathered a block of
-        rows at a time rather than copied whole."""
-        row_positions = np.asarray(row_positions)
-        col_positions = np.asarray(col_positions)
-
-        def rows(start: int, stop: int) -> np.ndarray:
-            return self.scores[row_positions[start:stop]][:, col_positions].toarray()
-
-        return BlockedScores(
-            source_ids=np.asarray(self.source_ids)[row_positions],
-            target_ids=np.asarray(self.target_ids)[col_positions],
-            rows=rows,
-            kind=self.kind,
-        )
-
 
 @dataclass
 class BlockedScores(ScoreRows):
@@ -128,7 +119,7 @@ class BlockedScores(ScoreRows):
     kind: str
 
 
-# stored entries of a time matrix that a pass over its values takes per
+# stored entries of a score matrix that a pass over its values takes per
 # step, so no temporary grows with the stored entries
 _CHUNK_ENTRIES = 1 << 16
 
@@ -152,24 +143,19 @@ def _occurrence_sets(counts: sp.csr_matrix, k: int, width: int) -> sp.csr_matrix
     )
 
 
-def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> SimilarityMatrix:
-    """Pairwise temporal matching scores between every entity of two count
-    matrices (rows = entities, columns = timestamp ids), as CSR.
+def _score_product(occ1: sp.csr_matrix, occ2t: sp.csr_matrix, m_half: np.ndarray,
+                   n_half: np.ndarray) -> sp.csr_matrix:
+    """Scores of the rows of the set matrix `occ1` against the columns of the
+    transposed set matrix `occ2t`, as CSR; `m_half` and `n_half` are the
+    halved multiset sizes of those rows and columns.
 
-    The multiset intersection size c = sum_t min(a_t, b_t) is one sparse
-    product of the two (timestamp, occurrence) set matrices. Only pairs
-    sharing a timestamp are stored; every absent entry is exactly 0. The
-    columns within a row are left in the product's order, unspecified:
-    every reader goes by value, `toarray()` or fancy indexing.
-    """
-    a, b = sp.csr_matrix(dic1), sp.csr_matrix(dic2)
-    width = max(a.shape[1], b.shape[1])
-    k = int(max(a.data.max(initial=0), b.data.max(initial=0), 1))
-    scores = _occurrence_sets(a, k, width) @ _occurrence_sets(b, k, width).T
+    The intersection size c = sum_t min(a_t, b_t) of every pair is one
+    sparse product, and only pairs sharing a timestamp are stored. Each c is
+    then divided in place by (m + n) / 2, _CHUNK_ENTRIES stored entries at a
+    time. The columns within a row are left in the product's order."""
+    scores = occ1 @ occ2t
     # c / ((m + n) / 2) rounds the same real number as 2c / (m + n): every
     # operand is an exact small integer or half of one
-    m_half = np.asarray(a.sum(axis=1)).ravel() / 2.0
-    n_half = np.asarray(b.sum(axis=1)).ravel() / 2.0
     ptr = scores.indptr
     for lo, hi in entry_chunks(scores.nnz):
         # rows [first, last) hold entries [lo, hi); a row that a chunk bound
@@ -179,9 +165,88 @@ def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> Si
         denom = np.take(n_half, scores.indices[lo:hi])
         denom += np.repeat(m_half[first:last], np.diff(np.clip(ptr[first : last + 1], lo, hi)))
         scores.data[lo:hi] /= denom
-    return SimilarityMatrix(
-        source_ids=np.arange(a.shape[0]),
-        target_ids=np.arange(b.shape[0]),
-        scores=scores,
-        kind="time",
-    )
+    return scores
+
+
+class TimeScores(ScoreRows):
+    """Temporal matching scores between every entity of two count matrices
+    (rows = entities, columns = timestamp ids), computed a block of rows at
+    a time and never stored. The matrix holds only the two count matrices,
+    as int64 in canonical form and of one width (`counts`). Seeds come from
+    a join on the count rows (`seeds.generate_seeds`), and scoring reads a
+    pool's rows through `submatrix`."""
+
+    kind = "time"
+
+    def __init__(self, dic1: sp.csr_matrix, dic2: sp.csr_matrix):
+        self.counts = tuple(sp.csr_matrix(d, dtype=np.int64, copy=True) for d in (dic1, dic2))
+        width = max(m.shape[1] for m in self.counts)
+        for m in self.counts:
+            m.sum_duplicates()
+            m.eliminate_zeros()
+            m.resize(m.shape[0], width)
+        self.source_ids = np.arange(self.counts[0].shape[0])
+        self.target_ids = np.arange(self.counts[1].shape[0])
+
+    def _pool(self, row_positions, col_positions) -> tuple:
+        """The (timestamp, occurrence) sets of the rows and of the columns
+        (transposed) at the given positions, and their halved sizes: the
+        operands of `_score_product`."""
+        a, b = self.counts
+        width = a.shape[1]
+        k = int(max(a.data.max(initial=0), b.data.max(initial=0), 1))
+        a, b = a[row_positions], b[col_positions]
+        return (_occurrence_sets(a, k, width), _occurrence_sets(b, k, width).T.tocsr(),
+                np.asarray(a.sum(axis=1)).ravel() / 2.0, np.asarray(b.sum(axis=1)).ravel() / 2.0)
+
+    def submatrix(self, row_positions: np.ndarray, col_positions: np.ndarray) -> BlockedScores:
+        """The rows and columns at the given positions. Their (timestamp,
+        occurrence) sets are built once here, and every block of rows is one
+        `_score_product` of them."""
+        occ1, occ2t, m_half, n_half = self._pool(row_positions, col_positions)
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            return _score_product(occ1[start:stop], occ2t, m_half[start:stop], n_half).toarray()
+
+        return BlockedScores(
+            source_ids=self.source_ids[row_positions],
+            target_ids=self.target_ids[col_positions],
+            rows=rows,
+            kind=self.kind,
+        )
+
+    def __getitem__(self, positions) -> np.ndarray:
+        """Dense rows at the given source positions, over every target."""
+        positions = np.asarray(positions)
+        return self.submatrix(positions, self.target_ids).rows(0, len(positions))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self[np.arange(start, stop)]
+
+    @property
+    def scores(self) -> TimeScores:
+        """The matrix itself, read the way stored scores are read: rows by
+        `[positions]`, and `nnz` and `nbytes`. Nothing is stored, so reading
+        it builds no |E1| x |E2| structure."""
+        return self
+
+    @cached_property
+    def nnz(self) -> int:
+        """Non-zero scores, i.e. pairs that share a timestamp, counted once,
+        a block of rows at a time, from the count matrices."""
+        a, b = self.counts
+        bt = b.T.tocsr()
+        step = max(1, _BLOCK_BYTES // (8 * max(b.shape[0], 1)))
+        return sum((a[lo : lo + step] @ bt).nnz for lo in range(0, a.shape[0], step))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the matrix holds: its two count matrices."""
+        return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in self.counts)
+
+
+def build_time_similarity_matrix(dic1: sp.csr_matrix, dic2: sp.csr_matrix) -> TimeScores:
+    """Pairwise temporal matching scores between every entity of two count
+    matrices (rows = entities, columns = timestamp ids), as a `TimeScores`
+    that holds the counts and computes scores only when rows are read."""
+    return TimeScores(dic1, dic2)

@@ -53,6 +53,18 @@ def matrix(scores, kind="combined", source_ids=None, target_ids=None):
     )
 
 
+def stored_submatrix(sim, row_positions, col_positions):
+    """The rows and columns of a `SimilarityMatrix` at the given positions,
+    gathered from its stored scores a block of rows at a time."""
+    row_positions, col_positions = np.asarray(row_positions), np.asarray(col_positions)
+
+    def rows(start, stop):
+        return sim.scores[row_positions[start:stop]][:, col_positions].toarray()
+
+    return BlockedScores(np.asarray(sim.source_ids)[row_positions],
+                         np.asarray(sim.target_ids)[col_positions], rows, sim.kind)
+
+
 def use_block_rows(monkeypatch, rows, n_cols):
     """Make every row block hold `rows` rows of an n_cols-wide matrix
     (None: the default, which holds a small pool whole)."""
@@ -431,7 +443,7 @@ def random_pool(shape, seed):
     t = sp.random(n_src + 3, n_tgt + 2, density=0.3, format="csr", random_state=seed)
     t.data = rng.integers(1, 9, size=t.nnz) / 8.0
     full = SimilarityMatrix(np.arange(n_src + 3), np.arange(n_tgt + 2), t, "time")
-    return g1, g2, src, tgt, full.submatrix(src, tgt)
+    return g1, g2, src, tgt, stored_submatrix(full, src, tgt)
 
 
 class TestBlockedScoring:
@@ -557,14 +569,16 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("block", [1, 3, None])
     def test_submatrix_gathers_a_block_of_rows_at_a_time(self, monkeypatch, block):
-        t = sp.random(9, 8, density=0.4, format="csr", random_state=1)
-        full = SimilarityMatrix(np.arange(9) + 10, np.arange(8) + 20, t, "time")
+        rng = np.random.default_rng(1)
+        c1, c2 = (sp.csr_matrix(rng.integers(1, 3, (n, 5)) * (rng.random((n, 5)) < 0.4))
+                  for n in (9, 8))
+        full = build_time_similarity_matrix(c1, c2)
         r, c = np.array([7, 0, 3, 5]), np.array([6, 1, 2])
         use_block_rows(monkeypatch, block, len(c))
         sub = full.submatrix(r, c)
-        assert sub.source_ids.tolist() == [17, 10, 13, 15]
-        assert sub.target_ids.tolist() == [26, 21, 22]
-        assert np.array_equal(sub.dense, t.toarray()[np.ix_(r, c)])
+        assert sub.source_ids.tolist() == [7, 0, 3, 5]
+        assert sub.target_ids.tolist() == [6, 1, 2]
+        assert np.array_equal(sub.dense, full.dense[np.ix_(r, c)])
 
     def test_scoring_holds_no_pool_by_pool_array(self, monkeypatch):
         n = 2000  # one dense n x n float64 copy is 32 MB

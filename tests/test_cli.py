@@ -7,6 +7,7 @@ import yaml
 from tkgalign.cli import apply_ablation, main, run_alignment
 from tkgalign.evaluate import evaluate
 from tkgalign.io import read_pairs, read_predictions
+from tkgalign.timesim import TimeScores
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +62,20 @@ def test_single_iteration_reports_non_iterative_mode(tmp_path, bench_dir):
     assert report["mode"] == "supervised non-iterative"
 
 
-def test_missing_seed_file_triggers_unsupervised_mode(tmp_path, bench_dir):
+def without_seeds(tmp_path, bench_dir):
+    """A copy of the dataset with no seed file; the held-out seed entities
+    become extra references so they stay covered."""
     ds = tmp_path / "noseeds"
     ds.mkdir()
     for name in ("triples_1", "triples_2", "ref_pairs"):
         (ds / name).write_bytes((bench_dir / name).read_bytes())
-    # the held-out seed entities become extra references so they stay covered
     sup = (bench_dir / "sup_pairs").read_text()
     (ds / "ref_pairs").write_text((bench_dir / "ref_pairs").read_text() + sup)
+    return ds
+
+
+def test_missing_seed_file_triggers_unsupervised_mode(tmp_path, bench_dir):
+    ds = without_seeds(tmp_path, bench_dir)
     cfg_path, _ = write_config(tmp_path, ds, dataset=str(ds))
     assert main(["align", str(cfg_path)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -122,6 +129,28 @@ def test_sweep_layers_table_shape(tmp_path, bench_dir):
     assert main(["sweep", str(cfg_path), "--parameter", "layers", "--values", "1", "2", "3"]) == 0
     rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised", "seeds"])
+def test_no_run_path_reads_the_whole_time_matrix(tmp_path, bench_dir, monkeypatch, mode):
+    def refuse(*_):
+        raise AssertionError("a run path read the whole time matrix")
+
+    # every reader of all rows at once; `dense` and `row_blocks` go through `rows`
+    for name in ("scores", "nnz"):
+        monkeypatch.setattr(TimeScores, name, property(refuse))
+    for name in ("rows", "__getitem__"):
+        monkeypatch.setattr(TimeScores, name, refuse)
+    ds = bench_dir if mode == "supervised" else without_seeds(tmp_path, bench_dir)
+    cfg_path, cfg = write_config(tmp_path, ds, dataset=str(ds))
+    if mode == "seeds":
+        assert main(["seeds", str(cfg_path)]) == 0
+    else:
+        run_alignment(cfg)
+        # one prediction per reference source
+        assert len(read_predictions(tmp_path / "out" / "predictions.tsv")) == len(
+            read_pairs(ds / "ref_pairs"))
+    assert (tmp_path / "out" / "generated_pairs").exists() == (mode != "supervised")
 
 
 def test_seeds_command(tmp_path, bench_dir, capsys):

@@ -121,6 +121,11 @@ class TestTemporalKG:
         with pytest.raises(ValueError, match=r"entity id out of range in quadruple 1: \[-1,"):
             TemporalKG.build(quads, 2, 1)
 
+    def test_negative_time_reports_first_bad_row(self):
+        quads = [Quadruple(0, 0, 1, P(1)), Quadruple(1, 0, 0, (4, -3)), Quadruple(0, 0, 1, P(-2))]
+        with pytest.raises(ValueError, match=r"time id out of range in quadruple 1: \[1, 0, 0, 4,"):
+            TemporalKG.build(quads, 2, 1)
+
     def test_mean_operator_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         quads = [

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tkgalign import seeds
 from tkgalign.seeds import generate_seeds
 from tkgalign.timesim import SimilarityMatrix, build_time_similarity_matrix
+
+from test_timesim import stored_scores
 
 
 def time_matrix(scores):
@@ -107,21 +110,82 @@ def random_counts(rng, n, vocab):
     return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, vocab))
 
 
-@pytest.mark.parametrize("trial", range(20))
-def test_seeds_equal_the_unique_signatures_of_the_counts(trial):
+def planted_counts(trial):
+    """Two random count matrices with planted equal signatures
+    (multiplicities up to 3) and a signature repeated on each side."""
     rng = np.random.default_rng(trial)
     a = random_counts(rng, 60, 8).tolil()
     b = random_counts(rng, 50, 8).tolil()
-    # planted equal signatures, multiplicities up to 3
     for i, j in zip(rng.choice(60, 15, replace=False), rng.choice(50, 15, replace=False)):
         a[i] = 0
         a[i, rng.choice(np.arange(1, 8), 3, replace=False)] = rng.integers(1, 4, 3)
         b[j] = a[i]
-    # planted collisions: a signature repeated on one side
     for side, n in ((a, 60), (b, 50)):
         src, dst = rng.choice(n, 2, replace=False)
         side[dst] = side[src]
-    a, b = a.tocsr(), b.tocsr()
+    return a.tocsr(), b.tocsr()
+
+
+def colliding(monkeypatch):
+    """Give every row the same hash, so the join groups every row exactly."""
+    hashes = seeds._row_hashes
+
+    def same_hash(m):
+        rows, h = hashes(m)
+        return rows, np.zeros_like(h)
+
+    monkeypatch.setattr(seeds, "_row_hashes", same_hash)
+
+
+def both_paths(a, b):
+    """The join's seeds and the stored-score scan's, as sets."""
+    tm = build_time_similarity_matrix(a, b)
+    stored = SimilarityMatrix(tm.source_ids, tm.target_ids, stored_scores(tm), "time")
+    return generate_seeds(tm).as_set(), generate_seeds(stored).as_set()
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_seeds_equal_the_unique_signatures_of_the_counts(trial):
+    a, b = planted_counts(trial)
     expected = signature_pairs(a, b)
     got = generate_seeds(build_time_similarity_matrix(a, b)).as_set()
     assert got == expected and len(expected) > 3
+
+
+@pytest.mark.parametrize("trial", range(5))
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("step", [1, 3, None])
+def test_join_equals_the_stored_score_scan(monkeypatch, trial, collide, step):
+    if collide:
+        colliding(monkeypatch)
+    if step is not None:
+        monkeypatch.setattr(seeds, "_COMPARE_ENTRIES", step)
+    a, b = planted_counts(trial)
+    join, scan = both_paths(a, b)
+    assert join == scan == signature_pairs(a, b)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_join_edge_rows(monkeypatch, collide):
+    if collide:
+        colliding(monkeypatch)
+    a = sp.csr_matrix(np.array([
+        [0, 0, 0, 0],  # empty on both sides: never a seed
+        [0, 2, 1, 0],  # equal length and timestamps as b's row 2, other counts
+        [0, 1, 2, 0],  # a unique match of b's row 2
+        [0, 0, 0, 3],  # repeated in a, once in b
+        [0, 0, 0, 3],
+        [1, 0, 0, 0],  # a unique match of b's row 0
+    ]))
+    b = sp.csr_matrix(np.array([
+        [1, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 1, 2, 0],
+        [0, 0, 0, 3],
+        [0, 0, 1, 0],
+    ]))
+    join, scan = both_paths(a, b)
+    assert join == scan == signature_pairs(a, b) == {(2, 2), (5, 0)}
+    # one row a side: empty, other counts, another timestamp
+    for rows_a, rows_b in ((a[:1], b[1:2]), (a[1:2], b[2:3]), (a[5:6], b[4:5])):
+        assert both_paths(rows_a, rows_b) == (set(), set())

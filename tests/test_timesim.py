@@ -18,7 +18,7 @@ from tkgalign.timesim import (
     time_similarity,
 )
 
-from test_aligner import matrix, use_block_rows
+from test_aligner import matrix, stored_submatrix, use_block_rows
 
 
 def Quadruple(head, relation, tail, time):
@@ -48,6 +48,12 @@ def entry(dic, e):
     """Row e of a count matrix as a Counter."""
     row = dic[e]
     return Counter(dict(zip(row.indices.tolist(), row.data.tolist())))
+
+
+def stored_scores(sim):
+    """The whole time matrix as CSR: the kernel of every block of rows,
+    `_score_product`, run over all rows at once."""
+    return timesim._score_product(*sim._pool(sim.source_ids, sim.target_ids))
 
 
 def naive_similarity(a, b):
@@ -153,7 +159,7 @@ class TestMatrix:
         ]
         for d1, d2 in cases:
             sim = build_time_similarity_matrix(counts(d1), counts(d2))
-            assert sp.isspmatrix_csr(sim.scores)
+            assert sim.nnz == np.count_nonzero(sim.dense)
             for i in range(len(d1)):
                 for j in range(len(d2)):
                     assert sim.dense[i, j] == pytest.approx(
@@ -177,9 +183,9 @@ def bits(x):
 
 
 class TestExactScores:
-    """Every stored score is bit for bit `time_similarity` of its two rows
-    and the whole-array 2c / (m + n) with integer denominators, whatever
-    the number of entries the matrix is finished in per step."""
+    """Every score of the kernel is bit for bit `time_similarity` of its two
+    rows and the whole-array 2c / (m + n) with integer denominators,
+    whatever the number of entries it is finished in per step."""
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
     def test_stored_scores_equal_both_oracles(self, monkeypatch, chunk):
@@ -199,7 +205,7 @@ class TestExactScores:
         ]
         for d1, d2 in cases:
             a, b = counts(d1), counts(d2)
-            built = build_time_similarity_matrix(a, b).scores
+            built = stored_scores(build_time_similarity_matrix(a, b))
             width = max(a.shape[1], b.shape[1])
             a, b = (np.pad(x.toarray(), ((0, 0), (0, width - x.shape[1]))) for x in (a, b))
             c = np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2)
@@ -237,20 +243,72 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    """No transient of the build or of the seed scan grows with the stored
-    scores (tracemalloc sees numpy's and scipy's buffers)."""
+    """The build holds only the count matrices, and no transient of the
+    kernel, of a row read or of the seed join grows with the scores
+    (tracemalloc sees numpy's and scipy's buffers)."""
 
     def test_build_holds_little_beside_its_result(self):
         a, b = random_pair()
         built, peak = traced_peak(build_time_similarity_matrix, a, b)
-        s = built.scores
+        count_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (a, b))
+        assert built.nbytes == count_bytes and peak < 2 * count_bytes
+
+    def test_kernel_holds_little_beside_the_whole_matrix(self):
+        # the eager build's bound, kept by the kernel run over all rows at once
+        sim = build_time_similarity_matrix(*random_pair())
+        s, peak = traced_peak(stored_scores, sim)
         assert s.nnz > 5_000_000
         assert peak - (s.data.nbytes + s.indices.nbytes + s.indptr.nbytes) < 3 << 20
+
+    def test_reading_rows_holds_their_product(self, monkeypatch):
+        monkeypatch.setattr(timesim, "_BLOCK_BYTES", 1 << 20)
+        sim = build_time_similarity_matrix(*random_pair())
+        nnz, peak = traced_peak(lambda: sim.nnz)
+        assert nnz == stored_scores(sim).nnz and peak < 3 << 20
+        block, peak = traced_peak(sim.rows, 0, 32)
+        assert peak - block.nbytes < 3 << 20
 
     def test_seed_scan_holds_little(self):
         sim = build_time_similarity_matrix(*random_pair())
         seeds, peak = traced_peak(generate_seeds, sim)
         assert len(seeds) and peak < 512 << 10
+
+    def test_stored_score_scan_holds_little(self):
+        tm = build_time_similarity_matrix(*random_pair())
+        sim = SimilarityMatrix(tm.source_ids, tm.target_ids, stored_scores(tm), "time")
+        seeds, peak = traced_peak(generate_seeds, sim)
+        assert seeds.pairs == generate_seeds(tm).pairs and peak < 512 << 10
+
+
+class TestTimeRows:
+    """Every way of reading `TimeScores` rows (`rows`, `.dense`,
+    `[positions]`, a submatrix's row blocks) gives bit for bit the rows of
+    the whole matrix the kernel stores, and `time_similarity` of the two
+    rows, over shuffled pools and any block height."""
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_rows_equal_the_stored_rows_and_the_scalar_oracle(self, monkeypatch, block):
+        rng = np.random.default_rng(11)
+        d1 = random_dict(rng, 40, max_stamps=8, vocab=6) + [Counter([5] * 5), Counter()]
+        d2 = [d1[i] for i in rng.permutation(40)] + random_dict(rng, 12, max_stamps=8, vocab=9)
+        sim = build_time_similarity_matrix(counts(d1), counts(d2))
+        whole = stored_scores(sim).toarray()
+        oracle = np.array([[time_similarity(x, y) for y in d2] for x in d1])
+        assert np.array_equal(bits(whole), bits(oracle))
+
+        use_block_rows(monkeypatch, block, len(d2))
+        assert np.array_equal(bits(sim.dense), bits(whole))
+        for start, stop in ((0, 1), (3, 17), (41, 42), (0, 42)):
+            assert np.array_equal(bits(sim.rows(start, stop)), bits(whole[start:stop]))
+        r, c = rng.permutation(42)[:30], rng.permutation(len(d2))[:25]
+        assert np.array_equal(bits(sim[r]), bits(whole[r]))
+        sub = sim.submatrix(r, c)
+        use_block_rows(monkeypatch, block, len(c))
+        blocks = list(sub.row_blocks())
+        assert [start for start, _ in blocks] == list(range(0, 30, block or 30))
+        assert np.array_equal(bits(np.concatenate([x for _, x in blocks])),
+                              bits(whole[np.ix_(r, c)]))
+        assert np.array_equal(sub.source_ids, r) and np.array_equal(sub.target_ids, c)
 
 
 def shuffled_rows(m, rng):
@@ -272,7 +330,7 @@ class TestColumnOrder:
         d1 = random_dict(rng, 40, max_stamps=5, vocab=30)
         d2 = [d1[i] for i in rng.permutation(40)] + random_dict(rng, 5, vocab=30)
         built = build_time_similarity_matrix(counts(d1), counts(d2))
-        ordered = built.scores.copy()
+        ordered = stored_scores(built)
         ordered.sort_indices()
         shuffled = shuffled_rows(ordered, rng)
         assert not shuffled.has_sorted_indices
@@ -287,7 +345,7 @@ class TestColumnOrder:
 
         r, c = rng.permutation(40)[:25], rng.permutation(45)[:20]
         use_block_rows(monkeypatch, block, len(c))
-        sa, sb = a.submatrix(r, c), b.submatrix(r, c)
+        sa, sb = stored_submatrix(a, r, c), stored_submatrix(b, r, c)
         assert all(ia == ib and np.array_equal(xa, xb)
                    for (ia, xa), (ib, xb) in zip(sa.row_blocks(), sb.row_blocks()))
         emb = matrix(rng.random((25, 20)), "embedding", sa.source_ids, sa.target_ids)
