@@ -10,16 +10,29 @@ File formats (tab separated, one record per line; blank lines are skipped):
   prediction file: source_id  target_id  score
       ids are non-negative and no pair occurs on two lines.
 
-Every file goes through one reader, which splits the whole file once and
-converts it a column at a time; a malformed file raises ParseError naming
-the first bad `file:line`.
+Every file goes through one reader, `_read_columns`. It reads the file as
+bytes, takes CRLF and CR line ends as text mode does, and checks that the
+bytes are UTF-8. One numpy pass then finds the tabs and newlines and checks
+the field count of every line; a line of ASCII whitespace only is blank.
+Each column is converted whole:
+  ids      a field of 1 to 18 ASCII digits (canonical) is converted by
+           8-byte word arithmetic; so is one padded with the spaces int()
+           strips or signed with '+', once stripped. Any other field
+           (`1_000`, non-ASCII digits, 19 or more digits, '-0') goes
+           through int(), only that field.
+  labels   the distinct raw labels and an index per record, from
+           `np.unique` on the bytes of each label packed into one uint64.
+  scores   float() of each field.
+A file this cannot place (a line of another field count that is not ASCII
+whitespace only, a field int() or float() rejects, an id out of range, a
+repeated pair) goes line by line, which returns the same columns or raises
+ParseError naming the first bad `file:line`, checked in the order of the
+columns. A byte that is not UTF-8 raises ParseError naming its line.
 """
 from __future__ import annotations
 
 import os
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -64,64 +77,216 @@ class ParseError(ValueError):
 
 
 _MAX_ID = int(np.iinfo(np.int64).max)
+_MAX_DIGITS = 18  # any run of this many ASCII digits fits int64
+_PACKED = 7  # a label of up to this many bytes packs, with its length, into one uint64
+_PAD = 3 * 8  # zero bytes before the text, so that the words of an 18-digit field are in range
+# the bytes int() strips around an id, and that make a line blank
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\n\v\f\r")] = True
+# _BELOW[c] has the low 8 - c bytes of a word set: the bytes before its last c
+_BELOW = np.array([(1 << 8 * (8 - c)) - 1 for c in range(9)], dtype=np.uint64)
+_ZEROS, _HIGH, _SIX = (np.uint64(int.from_bytes(bytes([x]) * 8, "little")) for x in (48, 0xF0, 6))
+# a word of 8 digits (first digit in the lowest byte) to its value: pairs, quads, the word
+_SWAR = [(np.uint64(mask), np.uint64(10**d << shift | 1), np.uint64(shift)) for mask, d, shift in
+         ((0x0F0F0F0F0F0F0F0F, 1, 8), (0x00FF00FF00FF00FF, 2, 16), (0x0000FFFF0000FFFF, 4, 32))]
 
 
-def _first_bad_line(path: Path, lines: list[str], kinds: str, pairs: bool) -> ParseError | None:
-    """The error of the first bad line, checked in the order the columns are:
+def _distinct(items) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's position there."""
+    codes: dict = {}
+    index = np.fromiter((codes.setdefault(x, len(codes)) for x in items), np.int64, len(items))
+    return list(codes), index
+
+
+def _line_columns(path: Path, lines: list[str], kinds: str, pairs: bool) -> list:
+    """The columns read line by line, like `_read_columns` returns them, or
+    ParseError at the first bad line, checked in the order the columns are:
     field count, integer ids, no negative id, no id beyond int64, float
     fields, and with `pairs` no repeat of an earlier line's two ids."""
-    n, record, seen = len(kinds), "pair" if pairs else "quadruple", set()
+    n, record, seen, rows = len(kinds), "pair" if pairs else "quadruple", set(), []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         row = line.split("\t")
         if len(row) != n:
-            return ParseError(f"{path}:{lineno}: expected {n} tab-separated fields, got {len(row)}")
+            raise ParseError(f"{path}:{lineno}: expected {n} tab-separated fields, got {len(row)}")
         try:
             ids = tuple(int(x) for x, k in zip(row, kinds) if k == "i")
         except ValueError as exc:
-            return ParseError(f"{path}:{lineno}: non-integer id: {exc}")
+            raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
         if min(ids) < 0:
-            return ParseError(f"{path}:{lineno}: negative id in {record} {ids}")
+            raise ParseError(f"{path}:{lineno}: negative id in {record} {ids}")
         if max(ids) > _MAX_ID:
-            return ParseError(f"{path}:{lineno}: id out of range in {record} {ids}")
+            raise ParseError(f"{path}:{lineno}: id out of range in {record} {ids}")
         try:
             [float(x) for x, k in zip(row, kinds) if k == "f"]
         except ValueError as exc:
-            return ParseError(f"{path}:{lineno}: non-float score: {exc}")
+            raise ParseError(f"{path}:{lineno}: non-float score: {exc}") from None
         if pairs:
             if ids in seen:
-                return ParseError(f"{path}:{lineno}: duplicate pair {ids}")
+                raise ParseError(f"{path}:{lineno}: duplicate pair {ids}")
             seen.add(ids)
-    return None
+        rows.append(row)
+    columns = list(zip(*rows)) or [()] * n
+    return [
+        _distinct(c) if k == "s"
+        else np.array([int(x) for x in c] if k == "i" else [float(x) for x in c],
+                      dtype=np.int64 if k == "i" else np.float64)
+        for c, k in zip(columns, kinds)
+    ]
+
+
+def _digits(win: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each field `start:end` read as 1 to 18 ASCII digits, and
+    whether it is that. Each 8-byte word from the field's end is checked and
+    converted whole (`_SWAR`), with the bytes before the field's first digit
+    set to '0'."""
+    length = end - start
+    ok, value = (length > 0) & (length <= _MAX_DIGITS), np.zeros(len(start), dtype=np.int64)
+    for w in range(-(-min(int(length.max(initial=0)), _MAX_DIGITS) // 8)):
+        below = _BELOW[np.clip(length - 8 * w, 0, 8)]
+        word = win[end - 8 * w + _PAD - 8] & ~below | _ZEROS & below
+        ok &= (word & _HIGH == _ZEROS) & ((word + _SIX) & _HIGH == _ZEROS)
+        for mask, scale, shift in _SWAR:
+            word = (word & mask) * scale >> shift
+        value += word.astype(np.int64) * 10 ** (8 * w)
+    return value, ok
+
+
+def _byte_ids(win: np.ndarray, buf: np.ndarray, data: bytes, start: np.ndarray,
+              end: np.ndarray) -> np.ndarray | None:
+    """The ids in the fields `data[start:end]`. A field of ASCII digits, also
+    after stripping the spaces int() strips and one '+', is read by
+    `_digits`; any other by int(). None if int() rejects a field or an id is
+    negative or beyond int64."""
+    ids, ok = _digits(win, start, end)
+    odd = np.flatnonzero(~ok)
+    if odd.size:
+        s, e = start[odd], end[odd]
+        i = np.flatnonzero((s < e) & _IS_SPACE[buf[s]])
+        while i.size:
+            s[i] += 1
+            i = i[(s[i] < e[i]) & _IS_SPACE[buf[s[i]]]]
+        i = np.flatnonzero((s < e) & _IS_SPACE[buf[e - 1]])
+        while i.size:
+            e[i] -= 1
+            i = i[(s[i] < e[i]) & _IS_SPACE[buf[e[i] - 1]]]
+        s += (s < e) & (buf[s] == ord("+"))
+        ids[odd], ok = _digits(win, s, e)
+        odd = odd[~ok]
+    if odd.size:
+        try:
+            values = [int(data[a:b].decode())
+                      for a, b in zip(start[odd].tolist(), end[odd].tolist())]
+        except ValueError:
+            return None
+        if min(values) < 0 or max(values) > _MAX_ID:
+            return None
+        ids[odd] = values
+    return ids
+
+
+def _byte_labels(win: np.ndarray, data: bytes, start: np.ndarray,
+                 end: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct raw labels of the fields `data[start:end]`, and each
+    field's position among them, by `np.unique` on one uint64 key per
+    field: up to 7 bytes packed with the length in the top byte, or a
+    longer label's first-seen number under a top byte of 255."""
+    length = end - start
+    key = win[start + _PAD] & _BELOW[8 - np.clip(length, 0, _PACKED)]
+    key |= length.astype(np.uint64) << np.uint64(56)
+    long = np.flatnonzero(length > _PACKED)
+    more, number = _distinct([data[a:b] for a, b in zip(start[long].tolist(), end[long].tolist())])
+    key[long] = number.astype(np.uint64) | np.uint64(255 << 56)
+    keys, index = np.unique(key, return_inverse=True)
+    labels = [
+        int(x).to_bytes(8, "little")[: int(x) >> 56] if int(x) >> 56 <= _PACKED
+        else more[int(x) & (1 << 56) - 1]
+        for x in keys
+    ]
+    return [x.decode() for x in labels], index
+
+
+def _records(buf: np.ndarray, data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Where each record of `buf` (`data` ending in a newline) starts, and
+    where each of its n fields ends (at its tabs and newline), skipping
+    blank lines; None if a line of another field count is not blank. Blank
+    here means ASCII whitespace only."""
+    is_sep = buf == ord("\t")
+    is_sep |= buf == ord("\n")
+    sep = np.flatnonzero(is_sep)
+    del is_sep
+    ends = np.flatnonzero(buf[sep] == ord("\n"))  # where each line ends, in `sep`
+    per_line = np.diff(ends, prepend=-1)
+    line_end = sep[ends]
+    line_start = np.concatenate(([0], line_end[:-1] + 1))
+    # a blank line starts and ends with a space (an empty one with the newline)
+    blank = _IS_SPACE[buf[line_start]] & _IS_SPACE[buf[line_end - 1]]
+    maybe = np.flatnonzero(blank)
+    blank[maybe] = [not data[a:b].strip()
+                    for a, b in zip(line_start[maybe].tolist(), line_end[maybe].tolist())]
+    record = (per_line == n) & ~blank
+    if not (record | blank).all():
+        return None
+    if not record.all():
+        sep = sep[np.repeat(record, per_line)]
+    return line_start[record], sep.reshape(-1, n)
+
+
+def _byte_columns(data: bytes, kinds: str) -> list | None:
+    """The columns read from the UTF-8 `data` in whole-array passes, or
+    None when a line needs the line reader: a line of another field count
+    that is not blank, a field int() or float() rejects, or an id out of
+    range."""
+    text = data if data.endswith(b"\n") else data + b"\n"
+    padded = b"".join([bytes(_PAD), text, bytes(8)])
+    buf = np.frombuffer(padded, dtype=np.uint8, count=len(text), offset=_PAD)
+    # win[p + _PAD] is the little-endian word of the 8 bytes from text[p]
+    win = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    found = _records(buf, text, len(kinds))
+    if found is None:
+        return None
+    first, field_end = found
+    columns = []
+    for j, k in enumerate(kinds):
+        start, end = first if j == 0 else field_end[:, j - 1] + 1, field_end[:, j]
+        if k == "i":
+            column = _byte_ids(win, buf, data, start, end)
+        elif k == "s":
+            column = _byte_labels(win, data, start, end)
+        else:
+            try:
+                column = np.array([float(data[a:b].decode())
+                                   for a, b in zip(start.tolist(), end.tolist())], dtype=np.float64)
+            except ValueError:
+                column = None
+        if column is None:
+            return None
+        columns.append(column)
+    return columns
 
 
 def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
     """The columns of a tab-separated file, one per character of `kinds`: 'i'
-    a non-negative id (int64), 'f' a float (float64), 's' a raw label (list
-    of str). Blank lines are skipped; with `pairs`, no two lines hold the
-    same first two ids. The file is split once and each column converted
-    whole, by the `int` or `float` of each field; only when that fails are
-    the lines checked one by one, to raise ParseError at the first bad one."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    records = [line for line in lines if line.strip()]
-    n = len(kinds)
-    columns = None
-    if not set(map(str.count, records, repeat("\t"))) - {n - 1}:  # n fields on every line
-        fields = "\t".join(records).split("\t") if records else []
-        # a field that int() or float() rejects, or an id beyond int64
-        with suppress(ValueError, OverflowError):
-            columns = [
-                fields[j::n] if k == "s"
-                else np.array(fields[j::n], dtype=np.int64 if k == "i" else np.float64)
-                for j, k in enumerate(kinds)
-            ]
-    if (
-        columns is None
-        or any((c < 0).any() for c, k in zip(columns, kinds) if k == "i")
-        or (pairs and first_repeated_pair(columns[0], columns[1]) >= 0)
-    ):
-        raise _first_bad_line(path, lines, kinds, pairs)
+    a non-negative id (int64), 'f' a float (float64), 's' a raw label, given
+    as its distinct labels (list of str) and each record's position among
+    them (int64). Blank lines are skipped; with `pairs`, no two lines hold
+    the same first two ids. Lines end in LF, CRLF or CR, as text mode reads
+    them. The bytes are read in whole-array passes; a file those cannot
+    place goes line by line, which raises ParseError at the first bad line."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}") from None
+    columns = _byte_columns(data, kinds)
+    if columns is None or (pairs and first_repeated_pair(columns[0], columns[1]) >= 0):
+        columns = _line_columns(path, data.decode("utf-8").split("\n"), kinds, pairs)
     return columns
 
 
@@ -143,21 +308,25 @@ def load_dataset(
     in the quadruple and pair files of each graph."""
     cols1 = _read_columns(Path(layout.quads1), "iiiss")
     cols2 = _read_columns(Path(layout.quads2), "iiiss")
-    raw1, raw2 = ({*cols[3], *cols[4]} for cols in (cols1, cols2))
+    raw1, raw2 = ([label for labels, _ in cols[3:] for label in labels] for cols in (cols1, cols2))
     vocab = build_merged_time_vocabulary(raw1, raw2)
     empty = AlignmentPairSet.from_pairs([])
     seeds = read_pairs(Path(layout.sup_pairs)) if layout.sup_pairs is not None else empty
     refs = read_pairs(Path(layout.ref_pairs)) if layout.ref_pairs is not None else empty
 
-    def build(cols, raw_labels, pair_ids):
-        time_id = {label: vocab.id_of(label) for label in raw_labels}
-        times = [np.fromiter(map(time_id.__getitem__, c), np.int64, len(c)) for c in cols[3:]]
-        quads = np.column_stack([*cols[:3], *times])
+    def quadruples(cols):
+        times = [np.fromiter(map(vocab.id_of, labels), np.int64, len(labels)).take(index)
+                 for labels, index in cols[3:]]
+        return np.column_stack([*cols[:3], *times])
+
+    def build(quads, pair_ids):
         n = max(int(quads[:, [HEAD, TAIL]].max(initial=-1)), int(pair_ids.max(initial=-1))) + 1
         return TemporalKG.build(quads, n, int(quads[:, RELATION].max(initial=-1)) + 1)
 
-    kg1 = build(cols1, raw1, np.concatenate([seeds.sources, refs.sources]))
-    kg2 = build(cols2, raw2, np.concatenate([seeds.targets, refs.targets]))
+    quads1, quads2 = quadruples(cols1), quadruples(cols2)
+    del cols1, cols2  # copied into the quadruples: free them before the graphs are built
+    kg1 = build(quads1, np.concatenate([seeds.sources, refs.sources]))
+    kg2 = build(quads2, np.concatenate([seeds.targets, refs.targets]))
     return kg1, kg2, vocab, seeds, refs
 
 

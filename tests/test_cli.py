@@ -316,6 +316,21 @@ def test_malformed_config_exits_2_without_a_traceback(tmp_path, bench_dir, capsy
     assert "Traceback" not in out + err
 
 
+def test_non_utf8_dataset_exits_2_naming_the_line(tmp_path, bench_dir, capsys):
+    ds = tmp_path / "latin1"
+    ds.mkdir()
+    for name in ("triples_1", "triples_2", "sup_pairs", "ref_pairs"):
+        (ds / name).write_bytes((bench_dir / name).read_bytes())
+    lines = (ds / "triples_1").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b"\t", b"\t\xff", 1)
+    (ds / "triples_1").write_bytes(b"\n".join(lines))
+    cfg_path, _ = write_config(tmp_path, ds, dataset=str(ds))
+    assert main(["seeds", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {ds / 'triples_1'}:5: not UTF-8: byte 0xff, invalid start byte\n"
+    assert "Traceback" not in out + err
+
+
 def test_out_of_range_synth_parameters_exit_2(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "d"), "--entities", "20", "--seed-pairs", "-1"]) == 2
     assert "error: seed_pairs must be in [0, entities]" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tkgalign.io import (
     DatasetLayout,
@@ -14,6 +16,7 @@ from tkgalign.io import (
     write_predictions,
 )
 from tkgalign.kg import AlignmentPairSet
+from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
 
 
 # Line-by-line parsers: the reference for the whole-file reader's values and
@@ -241,7 +244,9 @@ def test_quad_columns_equal_the_line_parser(tmp_path, text):
     cols = _read_columns(path, "iiiss")
     assert all(c.dtype == np.int64 for c in cols[:3])
     assert np.column_stack(cols[:3]).tolist() == [list(x) for x in ids]
-    assert [lab.strip() for pair in zip(cols[3], cols[4]) for lab in pair] == labels
+    (labels3, index3), (labels4, index4) = cols[3:]
+    assert [lab.strip() for i, j in zip(index3, index4)
+            for lab in (labels3[i], labels4[j])] == labels
 
 
 @pytest.mark.parametrize("text", QUAD_FILES)
@@ -345,3 +350,132 @@ def test_id_beyond_int64_reports_location(tmp_path, kind, text, parse, record):
     path = write(tmp_path, kind, text)
     with pytest.raises(ParseError, match=rf"{kind}:3: id out of range in {record} \("):
         parse(path)
+
+
+# Random files for the property test below: each id value is written in one
+# of the layouts int() accepts, among a mix of blank lines and line ends.
+MAX_ID = np.iinfo(np.int64).max
+ID_LAYOUTS = [
+    str, lambda i: f" {i}", lambda i: f"{i}\v ", lambda i: f"+{i}", lambda i: f"{i:_}",
+    lambda i: str(i).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda i: f"{i:018d}", lambda i: f"{i:019d}", lambda i: f"{i:020d}",
+]
+LABELS = st.one_of(
+    st.sampled_from(["2005", "", "0", "###", " 7 ", "1995-03-01", "é", "二〇〇五年", "a" * 40]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=12),
+)
+SCORES = st.one_of(st.sampled_from([" 0.5 ", "1e-3", "inf", "-0.0", "1_0", "١.٥"]),
+                   st.floats(allow_nan=False).map(repr))
+BLANK = st.sampled_from(["", "   ", "\t", "\t\t\t\t", " \t \t", "\f", "\u3000", "\x1c \t\x85"])
+# one bad line of each kind; the 20-digit id is beyond int64, which the
+# oracles do not check, so the test expects the reader's range error there
+BAD = {"iiiss": ["0\t0\t1\t5", "0\t0\t1\t5\t5\t5", "x\t0\t1\t5\t5", "0\t1.5\t1\t5\t5",
+                 "0\t0\t-1\t5\t5", "\t\t\t5\t5", "0\t99999999999999999999\t1\t5\t5"],
+       "ii": ["0", "0\t1\t2", "x\t1", "1\t", "-1\t3", "0\t99999999999999999999", "dup"],
+       "iif": ["0\t1", "x\t1\t0.5", "-1\t3\t0.5", "3\t7\tnope", "3\t7\t",
+               "99999999999999999999\t3\t0.5", "dup"]}
+
+
+@st.composite
+def table_files(draw, kinds):
+    """(text, line number of the bad line or None, that line)."""
+    n_ids = kinds.count("i")
+    rows = draw(st.lists(st.tuples(*[st.integers(0, MAX_ID)] * n_ids), max_size=10,
+                         unique=kinds != "iiiss"))
+    lines = []  # (line, whether it is the bad one)
+    for ids in rows:
+        it = iter(ids)
+        lines.append(("\t".join(
+            draw(st.sampled_from(ID_LAYOUTS))(next(it)) if k == "i"
+            else draw(LABELS) if k == "s" else draw(SCORES) for k in kinds), False))
+    bad = draw(st.none() | st.sampled_from(BAD[kinds]))
+    if bad == "dup" and lines:  # the first line's pair again
+        lines.insert(draw(st.integers(1, len(lines))), (lines[0][0], True))
+    elif bad not in (None, "dup"):
+        lines.insert(draw(st.integers(0, len(lines))), (bad, True))
+    for at, blank in draw(st.lists(st.tuples(st.integers(0, len(lines)), BLANK), max_size=4)):
+        lines.insert(at, (blank, False))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for (line, _), end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last line
+    return text, *next(((i, line) for i, (line, b) in enumerate(lines, start=1) if b), (None, None))
+
+
+def out_of_range(path, lineno, line, kinds):
+    """The reader's error for an otherwise good line holding an id beyond int64."""
+    ids = tuple(int(x) for x, k in zip(line.split("\t"), kinds) if k == "i")
+    if len(line.split("\t")) != len(kinds) or min(ids) < 0 or max(ids) <= MAX_ID:
+        return None
+    record = "quadruple" if kinds == "iiiss" else "pair"
+    return f"{path}:{lineno}: id out of range in {record} {ids}"
+
+
+def quad_columns(path):
+    cols = _read_columns(path, "iiiss")
+    (labels3, index3), (labels4, index4) = cols[3:]
+    ids = [tuple(x) for x in np.column_stack(cols[:3]).tolist()]
+    return ids, [lab.strip() for i, j in zip(index3, index4) for lab in (labels3[i], labels4[j])]
+
+
+def prediction_columns(path):
+    preds = read_predictions(path)
+    return preds.pairs, preds.scores.tolist()
+
+
+@pytest.mark.parametrize("kinds,name,parse,oracle", [
+    ("iiiss", "triples_1", quad_columns, oracle_quad_lines),
+    ("ii", "sup_pairs", lambda p: read_pairs(p).pairs, oracle_pairs),
+    ("iif", "preds.tsv", prediction_columns, oracle_predictions),
+])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_equals_the_line_parser_on_random_files(tmp_path, kinds, name, parse, oracle, data):
+    """Equal values, or an equal first error, on files mixing every layout
+    int() accepts, CRLF, blank and whitespace-only lines, multi-byte and
+    long labels, ids of up to 20 digits and at most one bad line."""
+    text, lineno, line = data.draw(table_files(kinds))
+    path = write(tmp_path, name, text)
+    try:
+        expected = oracle(path)
+    except ParseError as exc:
+        expected = exc
+    if not isinstance(expected, ParseError) and lineno is not None:
+        message = out_of_range(path, lineno, line, kinds)
+        expected = ParseError(message) if message else expected
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as exc:
+            parse(path)
+        assert str(exc.value) == str(expected)
+    else:
+        assert parse(path) == expected
+
+
+@pytest.mark.parametrize("name", ["triples_1", "triples_2", "sup_pairs", "ref_pairs"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_reports_location(tmp_path, name, end):
+    files = {"triples_1": "0\t0\t1\t5\t5", "triples_2": "0\t0\t1\t5\t5", "sup_pairs": "0\t0",
+             "ref_pairs": "1\t1"}
+    for f, line in files.items():
+        (tmp_path / f).write_bytes(f"{line}{end}".encode())
+    good = files[name].encode()
+    (tmp_path / name).write_bytes(good + end.encode() * 2 + good[:-1] + b"\xff" + good[-1:] + b"\n")
+    with pytest.raises(ParseError, match=rf"{name}:3: not UTF-8: byte 0xff, invalid start byte$"):
+        load_dataset(DatasetLayout.from_dir(tmp_path))
+
+
+def test_load_holds_little_beside_its_result(tmp_path):
+    """The transients of a load (the file bytes, separator positions and
+    one column's arithmetic at a time) stay small beside what it returns."""
+    params = SynthParams(entities=4000, timestamps=2000, unique_times=False, seed_pairs=1000)
+    layout = write_benchmark(make_benchmark(params), tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(layout)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded[0].quadruples) == 32_000
+    # 2.96 MB measured; the bound leaves a third of that as headroom
+    assert peak - live < 4 << 20, (live - before, peak - live)
