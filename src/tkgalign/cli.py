@@ -211,8 +211,9 @@ def cmd_align(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _output_dir(cfg, args.output_dir)
-    full_report, _, _ = run_alignment(cfg, out / "full")
+    # an unknown component exits before the full run writes anything
     ablated_cfg = apply_ablation(cfg, args.component)
+    full_report, _, _ = run_alignment(cfg, out / "full")
     abl_report, _, _ = run_alignment(ablated_cfg, out / f"ablate_{ABLATION_ALIASES[args.component.lower()]}")
     for label, rep in (("full", full_report), (args.component, abl_report)):
         if rep is None:
@@ -234,13 +235,18 @@ def cmd_sweep(args) -> int:
     if not args.values:
         raise ConfigError("sweep needs at least one value")
     section, field_name, cast = SWEEP_TARGETS[args.parameter]
-    out = _output_dir(cfg, args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    # every value is cast and its config checked before the first run
+    runs = []
     for raw in args.values:
         value = cast(raw)
         run_cfg = json.loads(json.dumps(cfg))
         run_cfg.setdefault(section, {})[field_name] = value
+        parse_configs(run_cfg)
+        runs.append((value, run_cfg))
+    out = _output_dir(cfg, args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for value, run_cfg in runs:
         report, _, _ = run_alignment(run_cfg, out / f"{args.parameter}_{value}")
         rows.append(
             {

@@ -173,8 +173,8 @@ class TimeScores(ScoreRows):
     (rows = entities, columns = timestamp ids), computed a block of rows at
     a time and never stored. The matrix holds only the two count matrices,
     as int64 in canonical form and of one width (`counts`). Seeds come from
-    a join on the count rows (`seeds.generate_seeds`), and scoring reads a
-    pool's rows through `submatrix`."""
+    an exact join of equal-length count rows (`seeds.generate_seeds`), and
+    scoring reads a pool's rows through `submatrix`."""
 
     kind = "time"
 

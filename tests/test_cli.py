@@ -131,6 +131,22 @@ def test_sweep_layers_table_shape(tmp_path, bench_dir):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--component", "foo"],
+    ["sweep", "--parameter", "alpha", "--values", "0.5", "abc"],
+    ["sweep", "--parameter", "layers", "--values", "1", "0"],
+    ["sweep", "--parameter", "dimension", "--values", "8", "1.5"],
+])
+def test_bad_ablate_and_sweep_arguments_exit_before_any_run(tmp_path, bench_dir, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("a run started before the arguments were checked")
+
+    monkeypatch.setattr("tkgalign.cli.run_alignment", refuse)
+    cfg_path, _ = write_config(tmp_path, bench_dir)
+    assert main([argv[0], str(cfg_path), *argv[1:]]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "seeds"])
 def test_no_run_path_reads_the_whole_time_matrix(tmp_path, bench_dir, monkeypatch, mode):
     def refuse(*_):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tkgalign import seeds
 from tkgalign.seeds import generate_seeds
 from tkgalign.timesim import SimilarityMatrix, build_time_similarity_matrix
 
@@ -126,17 +125,6 @@ def planted_counts(trial):
     return a.tocsr(), b.tocsr()
 
 
-def colliding(monkeypatch):
-    """Give every row the same hash, so the join groups every row exactly."""
-    hashes = seeds._row_hashes
-
-    def same_hash(m):
-        rows, h = hashes(m)
-        return rows, np.zeros_like(h)
-
-    monkeypatch.setattr(seeds, "_row_hashes", same_hash)
-
-
 def both_paths(a, b):
     """The join's seeds and the stored-score scan's, as sets."""
     tm = build_time_similarity_matrix(a, b)
@@ -144,31 +132,71 @@ def both_paths(a, b):
     return generate_seeds(tm).as_set(), generate_seeds(stored).as_set()
 
 
+def varied_counts(trial):
+    """Two count matrices of many row lengths, heavy-tailed up to a few
+    hundred entries, with counts far above 3: planted equal rows of every
+    length, signatures held twice on one side only, and rows that a packing
+    of 32 bits per count would merge."""
+    rng = np.random.default_rng(100 + trial)
+    vocab, big = 400, 2**40 + 1
+    lengths = np.minimum(rng.zipf(1.6, 80), vocab - 1)
+
+    def row(stamps, counts):
+        out = np.zeros(vocab, dtype=np.int64)
+        out[stamps] = counts
+        return out
+
+    def random_row(n):
+        return row(rng.choice(np.arange(1, vocab), n, replace=False), rng.integers(1, 1000, n))
+
+    a = [random_row(n) for n in lengths]
+    b = [random_row(n) for n in rng.permutation(lengths)[:60]]
+    # planted seeds, one of them with a count near 2**40
+    a[0][[3, 257]] = big
+    for i, j in zip(range(25), rng.permutation(50)[:25]):
+        b[j] = a[i].copy()
+    # held twice in a and nowhere in b; held twice in b and once in a
+    a[30] = a[31] = random_row(5)
+    b[50] = b[51] = a[32].copy()
+    # equal only under 32-bit packing: (t << 32) + c or c mod 2**32
+    a[33], b[52], b[53] = row(1, big), row(257, 1), row(1, 1)
+    return sp.csr_matrix(np.array(a)), sp.csr_matrix(np.array(b))
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_seeds_equal_the_unique_signatures_of_the_counts(trial):
-    a, b = planted_counts(trial)
-    expected = signature_pairs(a, b)
-    got = generate_seeds(build_time_similarity_matrix(a, b)).as_set()
-    assert got == expected and len(expected) > 3
+    for a, b in (planted_counts(trial), varied_counts(trial)):
+        expected = signature_pairs(a, b)
+        got = generate_seeds(build_time_similarity_matrix(a, b)).as_set()
+        assert got == expected and len(expected) > 3
+
+
+def seed_copies(a, b, copies):
+    """a with the signature of one of its seeds copied over `copies` more of
+    its rows (None: none), so the signature is held more than once in a."""
+    if copies is None:
+        return a
+    i = min(signature_pairs(a, b))[0]
+    free = [r for r in range(a.shape[0]) if r != i][:copies]
+    a = a.tolil()
+    a[free] = a[[i] * copies]
+    return a.tocsr()
 
 
 @pytest.mark.parametrize("trial", range(5))
-@pytest.mark.parametrize("collide", [False, True])
-@pytest.mark.parametrize("step", [1, 3, None])
-def test_join_equals_the_stored_score_scan(monkeypatch, trial, collide, step):
-    if collide:
-        colliding(monkeypatch)
-    if step is not None:
-        monkeypatch.setattr(seeds, "_COMPARE_ENTRIES", step)
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("copies", [1, 3, None])
+def test_join_equals_the_stored_score_scan(trial, swap, copies):
     a, b = planted_counts(trial)
+    a = seed_copies(a, b, copies)
+    if swap:
+        a, b = b, a
     join, scan = both_paths(a, b)
     assert join == scan == signature_pairs(a, b)
 
 
-@pytest.mark.parametrize("collide", [False, True])
-def test_join_edge_rows(monkeypatch, collide):
-    if collide:
-        colliding(monkeypatch)
+@pytest.mark.parametrize("swap", [False, True])
+def test_join_edge_rows(swap):
     a = sp.csr_matrix(np.array([
         [0, 0, 0, 0],  # empty on both sides: never a seed
         [0, 2, 1, 0],  # equal length and timestamps as b's row 2, other counts
@@ -184,8 +212,13 @@ def test_join_edge_rows(monkeypatch, collide):
         [0, 0, 0, 3],
         [0, 0, 1, 0],
     ]))
-    join, scan = both_paths(a, b)
-    assert join == scan == signature_pairs(a, b) == {(2, 2), (5, 0)}
+    expected = {(2, 2), (5, 0)}
     # one row a side: empty, other counts, another timestamp
-    for rows_a, rows_b in ((a[:1], b[1:2]), (a[1:2], b[2:3]), (a[5:6], b[4:5])):
+    one_row = [(a[:1], b[1:2]), (a[1:2], b[2:3]), (a[5:6], b[4:5])]
+    if swap:
+        a, b, expected = b, a, {(j, i) for i, j in expected}
+        one_row = [(y, x) for x, y in one_row]
+    join, scan = both_paths(a, b)
+    assert join == scan == signature_pairs(a, b) == expected
+    for rows_a, rows_b in one_row:
         assert both_paths(rows_a, rows_b) == (set(), set())
