@@ -40,6 +40,12 @@ ABLATION_ALIASES = {
     "time-matching": "time-matching",
     "tsm": "time-matching",
 }
+# the config field each ablation sets: section, field, value
+ABLATIONS = {
+    "relation-fusion": ("encoder", "ablate_relation_fusion", True),
+    "global-concat": ("encoder", "ablate_global_concat", True),
+    "time-matching": ("align", "alpha", 0.0),
+}
 
 
 def load_config(path: str | Path) -> dict:
@@ -182,6 +188,18 @@ def run_alignment(
     return report, result, summary
 
 
+def _override(cfg: dict, section: str, field_name: str, value) -> dict:
+    """A deep copy of `cfg` with `field_name` of `section` set to `value`. A
+    missing or null section counts as `{}`; any other non-mapping is a
+    ConfigError."""
+    cfg = json.loads(json.dumps(cfg))
+    part = {} if cfg.get(section) is None else cfg[section]
+    if not isinstance(part, dict):
+        raise ConfigError(f"[{section}] section must be a mapping, got {part!r}")
+    cfg[section] = {**part, field_name: value}
+    return cfg
+
+
 def apply_ablation(cfg: dict, component: str) -> dict:
     key = ABLATION_ALIASES.get(component.lower())
     if key is None:
@@ -189,14 +207,7 @@ def apply_ablation(cfg: dict, component: str) -> dict:
             f"unknown ablation component {component!r}; "
             f"expected one of {sorted(set(ABLATION_ALIASES))}"
         )
-    cfg = json.loads(json.dumps(cfg))  # deep copy
-    if key == "relation-fusion":
-        cfg.setdefault("encoder", {})["ablate_relation_fusion"] = True
-    elif key == "global-concat":
-        cfg.setdefault("encoder", {})["ablate_global_concat"] = True
-    else:
-        cfg.setdefault("align", {})["alpha"] = 0.0
-    return cfg
+    return _override(cfg, *ABLATIONS[key])
 
 
 def cmd_align(args) -> int:
@@ -239,8 +250,7 @@ def cmd_sweep(args) -> int:
     runs = []
     for raw in args.values:
         value = cast(raw)
-        run_cfg = json.loads(json.dumps(cfg))
-        run_cfg.setdefault(section, {})[field_name] = value
+        run_cfg = _override(cfg, section, field_name, value)
         parse_configs(run_cfg)
         runs.append((value, run_cfg))
     out = _output_dir(cfg, args.output_dir)

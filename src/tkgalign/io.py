@@ -12,8 +12,8 @@ File formats (tab separated, one record per line; blank lines are skipped):
 
 Every file goes through one reader, `_read_columns`. It reads the file as
 bytes, takes CRLF and CR line ends as text mode does, and checks that the
-bytes are UTF-8. One numpy pass then finds the tabs and newlines and checks
-the field count of every line; a line of ASCII whitespace only is blank.
+bytes are UTF-8. One numpy pass then finds the tabs and newlines and the
+field count of every line; a line is blank when str.strip() empties it.
 Each column is converted whole:
   ids      a field of 1 to 18 ASCII digits (canonical) is converted by
            8-byte word arithmetic; so is one padded with the spaces int()
@@ -23,11 +23,10 @@ Each column is converted whole:
   labels   the distinct raw labels and an index per record, from
            `np.unique` on the bytes of each label packed into one uint64.
   scores   float() of each field.
-A file this cannot place (a line of another field count that is not ASCII
-whitespace only, a field int() or float() rejects, an id out of range, a
-repeated pair) goes line by line, which returns the same columns or raises
-ParseError naming the first bad `file:line`, checked in the order of the
-columns. A byte that is not UTF-8 raises ParseError naming its line.
+The same pass finds every line a check rejects (another field count, a
+field int() or float() rejects, an id out of range, a repeated pair). Only
+the first is split again, to raise the ParseError a line parser would at
+its `file:line`. A byte that is not UTF-8 raises ParseError at its line.
 """
 from __future__ import annotations
 
@@ -62,14 +61,9 @@ class DatasetLayout:
     @classmethod
     def from_dir(cls, d: str | os.PathLike) -> "DatasetLayout":
         d = Path(d)
-        sup = d / "sup_pairs"
-        ref = d / "ref_pairs"
-        return cls(
-            quads1=d / "triples_1",
-            quads2=d / "triples_2",
-            sup_pairs=sup if sup.exists() else None,
-            ref_pairs=ref if ref.exists() else None,
-        )
+        sup, ref = d / "sup_pairs", d / "ref_pairs"
+        return cls(quads1=d / "triples_1", quads2=d / "triples_2",
+                   sup_pairs=sup if sup.exists() else None, ref_pairs=ref if ref.exists() else None)
 
 
 class ParseError(ValueError):
@@ -80,9 +74,13 @@ _MAX_ID = int(np.iinfo(np.int64).max)
 _MAX_DIGITS = 18  # any run of this many ASCII digits fits int64
 _PACKED = 7  # a label of up to this many bytes packs, with its length, into one uint64
 _PAD = 3 * 8  # zero bytes before the text, so that the words of an 18-digit field are in range
-# the bytes int() strips around an id, and that make a line blank
+# the bytes int() strips around an id
 _IS_SPACE = np.zeros(256, dtype=bool)
 _IS_SPACE[list(b" \t\n\v\f\r")] = True
+# the bytes that may begin or end a line that str.strip() empties: those, the
+# separators 0x1C to 0x1F and any byte of a multi-byte UTF-8 character
+_MAYBE_SPACE = _IS_SPACE.copy()
+_MAYBE_SPACE[0x1C:0x20] = _MAYBE_SPACE[0x80:] = True
 # _BELOW[c] has the low 8 - c bytes of a word set: the bytes before its last c
 _BELOW = np.array([(1 << 8 * (8 - c)) - 1 for c in range(9)], dtype=np.uint64)
 _ZEROS, _HIGH, _SIX = (np.uint64(int.from_bytes(bytes([x]) * 8, "little")) for x in (48, 0xF0, 6))
@@ -98,42 +96,38 @@ def _distinct(items) -> tuple[list, np.ndarray]:
     return list(codes), index
 
 
-def _line_columns(path: Path, lines: list[str], kinds: str, pairs: bool) -> list:
-    """The columns read line by line, like `_read_columns` returns them, or
-    ParseError at the first bad line, checked in the order the columns are:
-    field count, integer ids, no negative id, no id beyond int64, float
-    fields, and with `pairs` no repeat of an earlier line's two ids."""
-    n, record, seen, rows = len(kinds), "pair" if pairs else "quadruple", set(), []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        row = line.split("\t")
-        if len(row) != n:
-            raise ParseError(f"{path}:{lineno}: expected {n} tab-separated fields, got {len(row)}")
+def _parsed(convert, text: bytes, start: np.ndarray, end: np.ndarray) -> list:
+    """convert() of each field `text[start:end]`, or None where it raises ValueError."""
+    def one(field: bytes):
         try:
-            ids = tuple(int(x) for x, k in zip(row, kinds) if k == "i")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer id: {exc}") from None
-        if min(ids) < 0:
-            raise ParseError(f"{path}:{lineno}: negative id in {record} {ids}")
-        if max(ids) > _MAX_ID:
-            raise ParseError(f"{path}:{lineno}: id out of range in {record} {ids}")
-        try:
-            [float(x) for x, k in zip(row, kinds) if k == "f"]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-float score: {exc}") from None
-        if pairs:
-            if ids in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate pair {ids}")
-            seen.add(ids)
-        rows.append(row)
-    columns = list(zip(*rows)) or [()] * n
-    return [
-        _distinct(c) if k == "s"
-        else np.array([int(x) for x in c] if k == "i" else [float(x) for x in c],
-                      dtype=np.int64 if k == "i" else np.float64)
-        for c, k in zip(columns, kinds)
-    ]
+            return convert(field.decode())
+        except ValueError:
+            return None
+    return [one(text[a:b]) for a, b in zip(start.tolist(), end.tolist())]
+
+
+def _raise_at(path: Path, lineno: int, line: str, kinds: str) -> None:
+    """Raise the line parser's ParseError for `line`, which the whole-array
+    pass rejected: the first check it fails of field count, integer ids, no
+    negative id, no id beyond int64 and float fields; if it passes them all,
+    it repeats an earlier line's pair."""
+    row, where = line.split("\t"), f"{path}:{lineno}"
+    if len(row) != len(kinds):
+        raise ParseError(f"{where}: expected {len(kinds)} tab-separated fields, got {len(row)}")
+    try:
+        ids = tuple(int(x) for x, k in zip(row, kinds) if k == "i")
+    except ValueError as exc:
+        raise ParseError(f"{where}: non-integer id: {exc}") from None
+    record = "pair" if len(ids) == 2 else "quadruple"
+    if min(ids) < 0:
+        raise ParseError(f"{where}: negative id in {record} {ids}")
+    if max(ids) > _MAX_ID:
+        raise ParseError(f"{where}: id out of range in {record} {ids}")
+    try:
+        [float(x) for x, k in zip(row, kinds) if k == "f"]
+    except ValueError as exc:
+        raise ParseError(f"{where}: non-float score: {exc}") from None
+    raise ParseError(f"{where}: duplicate pair {ids}")
 
 
 def _digits(win: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,12 +147,12 @@ def _digits(win: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     return value, ok
 
 
-def _byte_ids(win: np.ndarray, buf: np.ndarray, data: bytes, start: np.ndarray,
-              end: np.ndarray) -> np.ndarray | None:
-    """The ids in the fields `data[start:end]`. A field of ASCII digits, also
-    after stripping the spaces int() strips and one '+', is read by
-    `_digits`; any other by int(). None if int() rejects a field or an id is
-    negative or beyond int64."""
+def _byte_ids(win: np.ndarray, buf: np.ndarray, text: bytes, start: np.ndarray,
+              end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids in the fields `text[start:end]`, and the positions of the
+    fields rejected: by int(), or as negative or beyond int64. A field of
+    ASCII digits, also after stripping the spaces int() strips and one '+',
+    is read by `_digits`; any other by int()."""
     ids, ok = _digits(win, start, end)
     odd = np.flatnonzero(~ok)
     if odd.size:
@@ -174,21 +168,16 @@ def _byte_ids(win: np.ndarray, buf: np.ndarray, data: bytes, start: np.ndarray,
         s += (s < e) & (buf[s] == ord("+"))
         ids[odd], ok = _digits(win, s, e)
         odd = odd[~ok]
-    if odd.size:
-        try:
-            values = [int(data[a:b].decode())
-                      for a, b in zip(start[odd].tolist(), end[odd].tolist())]
-        except ValueError:
-            return None
-        if min(values) < 0 or max(values) > _MAX_ID:
-            return None
-        ids[odd] = values
-    return ids
+    if odd.size:  # -1 marks a rejected field
+        ids[odd] = [v if v is not None and 0 <= v <= _MAX_ID else -1
+                    for v in _parsed(int, text, start[odd], end[odd])]
+        odd = odd[ids[odd] < 0]
+    return ids, odd
 
 
-def _byte_labels(win: np.ndarray, data: bytes, start: np.ndarray,
+def _byte_labels(win: np.ndarray, text: bytes, start: np.ndarray,
                  end: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct raw labels of the fields `data[start:end]`, and each
+    """The distinct raw labels of the fields `text[start:end]`, and each
     field's position among them, by `np.unique` on one uint64 key per
     field: up to 7 bytes packed with the length in the top byte, or a
     longer label's first-seen number under a top byte of 255."""
@@ -196,7 +185,7 @@ def _byte_labels(win: np.ndarray, data: bytes, start: np.ndarray,
     key = win[start + _PAD] & _BELOW[8 - np.clip(length, 0, _PACKED)]
     key |= length.astype(np.uint64) << np.uint64(56)
     long = np.flatnonzero(length > _PACKED)
-    more, number = _distinct([data[a:b] for a, b in zip(start[long].tolist(), end[long].tolist())])
+    more, number = _distinct([text[a:b] for a, b in zip(start[long].tolist(), end[long].tolist())])
     key[long] = number.astype(np.uint64) | np.uint64(255 << 56)
     keys, index = np.unique(key, return_inverse=True)
     labels = [
@@ -207,11 +196,10 @@ def _byte_labels(win: np.ndarray, data: bytes, start: np.ndarray,
     return [x.decode() for x in labels], index
 
 
-def _records(buf: np.ndarray, data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Where each record of `buf` (`data` ending in a newline) starts, and
-    where each of its n fields ends (at its tabs and newline), skipping
-    blank lines; None if a line of another field count is not blank. Blank
-    here means ASCII whitespace only."""
+def _records(buf: np.ndarray, text: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """Where each line of `buf` (`text` ending in a newline) starts, which are
+    records, the lines neither records nor blank (that str.strip() does not
+    empty), and where each record's n fields end: at its tabs and newline."""
     is_sep = buf == ord("\t")
     is_sep |= buf == ord("\n")
     sep = np.flatnonzero(is_sep)
@@ -220,50 +208,16 @@ def _records(buf: np.ndarray, data: bytes, n: int) -> tuple[np.ndarray, np.ndarr
     per_line = np.diff(ends, prepend=-1)
     line_end = sep[ends]
     line_start = np.concatenate(([0], line_end[:-1] + 1))
-    # a blank line starts and ends with a space (an empty one with the newline)
-    blank = _IS_SPACE[buf[line_start]] & _IS_SPACE[buf[line_end - 1]]
+    # a blank line starts and ends with a byte str.strip() may remove (an
+    # empty one with the newline)
+    blank = _MAYBE_SPACE[buf[line_start]] & _MAYBE_SPACE[buf[line_end - 1]]
     maybe = np.flatnonzero(blank)
-    blank[maybe] = [not data[a:b].strip()
+    blank[maybe] = [not text[a:b].decode().strip()
                     for a, b in zip(line_start[maybe].tolist(), line_end[maybe].tolist())]
     record = (per_line == n) & ~blank
-    if not (record | blank).all():
-        return None
     if not record.all():
         sep = sep[np.repeat(record, per_line)]
-    return line_start[record], sep.reshape(-1, n)
-
-
-def _byte_columns(data: bytes, kinds: str) -> list | None:
-    """The columns read from the UTF-8 `data` in whole-array passes, or
-    None when a line needs the line reader: a line of another field count
-    that is not blank, a field int() or float() rejects, or an id out of
-    range."""
-    text = data if data.endswith(b"\n") else data + b"\n"
-    padded = b"".join([bytes(_PAD), text, bytes(8)])
-    buf = np.frombuffer(padded, dtype=np.uint8, count=len(text), offset=_PAD)
-    # win[p + _PAD] is the little-endian word of the 8 bytes from text[p]
-    win = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    found = _records(buf, text, len(kinds))
-    if found is None:
-        return None
-    first, field_end = found
-    columns = []
-    for j, k in enumerate(kinds):
-        start, end = first if j == 0 else field_end[:, j - 1] + 1, field_end[:, j]
-        if k == "i":
-            column = _byte_ids(win, buf, data, start, end)
-        elif k == "s":
-            column = _byte_labels(win, data, start, end)
-        else:
-            try:
-                column = np.array([float(data[a:b].decode())
-                                   for a, b in zip(start.tolist(), end.tolist())], dtype=np.float64)
-            except ValueError:
-                column = None
-        if column is None:
-            return None
-        columns.append(column)
-    return columns
+    return line_start, record, np.flatnonzero(~(record | blank)), sep.reshape(-1, n)
 
 
 def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
@@ -272,8 +226,8 @@ def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
     as its distinct labels (list of str) and each record's position among
     them (int64). Blank lines are skipped; with `pairs`, no two lines hold
     the same first two ids. Lines end in LF, CRLF or CR, as text mode reads
-    them. The bytes are read in whole-array passes; a file those cannot
-    place goes line by line, which raises ParseError at the first bad line."""
+    them. One whole-array pass reads the columns and finds every line a
+    check rejects; ParseError names the first."""
     data = Path(path).read_bytes()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -284,9 +238,32 @@ def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ParseError(
                 f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}") from None
-    columns = _byte_columns(data, kinds)
-    if columns is None or (pairs and first_repeated_pair(columns[0], columns[1]) >= 0):
-        columns = _line_columns(path, data.decode("utf-8").split("\n"), kinds, pairs)
+    text = data if data.endswith(b"\n") else data + b"\n"
+    padded = b"".join([bytes(_PAD), text, bytes(8)])
+    buf = np.frombuffer(padded, dtype=np.uint8, count=len(text), offset=_PAD)
+    # win[p + _PAD] is the little-endian word of the 8 bytes from text[p]
+    win = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    line_start, record, wrong, field_end = _records(buf, text, len(kinds))
+    columns, rejected = [], []  # the first record each check rejects
+    for j, k in enumerate(kinds):
+        start, end = line_start[record] if j == 0 else field_end[:, j - 1] + 1, field_end[:, j]
+        if k == "i":
+            column, bad = _byte_ids(win, buf, text, start, end)
+        elif k == "s":
+            column, bad = _byte_labels(win, text, start, end), []
+        else:
+            values = _parsed(float, text, start, end)
+            column = np.array(values, dtype=np.float64)
+            bad = [r for r, v in enumerate(values) if v is None]
+        columns.append(column)
+        rejected.extend(bad[:1])
+    if pairs and (dup := first_repeated_pair(columns[0], columns[1])) >= 0:
+        rejected.append(dup)
+    if rejected:  # the record-to-line map, only once a check has failed
+        wrong = np.append(wrong, np.flatnonzero(record)[min(rejected)])
+    if wrong.size:
+        at, start = int(wrong.min()), line_start[wrong.min()]
+        _raise_at(path, at + 1, text[start:text.index(b"\n", start)].decode(), kinds)
     return columns
 
 

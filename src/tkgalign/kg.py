@@ -87,16 +87,20 @@ class TemporalKG:
                              "time_begin, time_end")
         r = q[:, RELATION]
         _first_bad_row((r < 0) | (r >= relation_count), q, "relation")
-        ends = q[:, [HEAD, TAIL]]
-        _first_bad_row(((ends < 0) | (ends >= entity_count)).any(axis=1), q, "entity")
+        heads, tails = q[:, HEAD], q[:, TAIL]
+        _first_bad_row((np.minimum(heads, tails) < 0)
+                       | (np.maximum(heads, tails) >= entity_count), q, "entity")
         _first_bad_row(np.minimum(q[:, TIME_BEGIN], q[:, TIME_END]) < 0, q, "time")
-        loops = np.arange(entity_count)
-        rows = np.concatenate([q[:, HEAD], q[:, TAIL], loops])
-        cols = np.concatenate([q[:, TAIL], q[:, HEAD], loops])
-        adjacency = sp.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(entity_count, entity_count)
-        ).tocsr()
-        adjacency.data[:] = 1.0
+        # one sorted int64 key row·n + col per entry, both directions and the
+        # self-loops; a parallel edge repeats a key, so only the first key and
+        # each one unlike the key before it are kept
+        n = entity_count
+        keys = np.concatenate([heads * n + tails, tails * n + heads, np.arange(n) * (n + 1)])
+        keys.sort()
+        keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        keys %= n  # the column of each entry
+        adjacency = sp.csr_matrix((np.ones(len(keys)), keys, indptr), shape=(n, n))
         return cls(
             entity_count=entity_count,
             relation_count=relation_count,

@@ -131,20 +131,47 @@ def test_sweep_layers_table_shape(tmp_path, bench_dir):
     assert len(rows) == 4
 
 
-@pytest.mark.parametrize("argv", [
-    ["ablate", "--component", "foo"],
-    ["sweep", "--parameter", "alpha", "--values", "0.5", "abc"],
-    ["sweep", "--parameter", "layers", "--values", "1", "0"],
-    ["sweep", "--parameter", "dimension", "--values", "8", "1.5"],
-])
-def test_bad_ablate_and_sweep_arguments_exit_before_any_run(tmp_path, bench_dir, monkeypatch, argv):
+# the last four set a section the command overrides to a value that is not a mapping
+@pytest.mark.parametrize("argv,sections", [
+    (["ablate", "--component", "foo"], {}),
+    (["sweep", "--parameter", "alpha", "--values", "0.5", "abc"], {}),
+    (["sweep", "--parameter", "layers", "--values", "1", "0"], {}),
+    (["sweep", "--parameter", "dimension", "--values", "8", "1.5"], {}),
+    (["ablate", "--component", "rff"], {"encoder": 5}),
+    (["ablate", "--component", "tsm"], {"align": [0.5]}),
+    (["sweep", "--parameter", "layers", "--values", "1"], {"encoder": 5}),
+    (["sweep", "--parameter", "alpha", "--values", "0.5"], {"align": "x"}),
+], ids=[f"argv{i}" for i in range(8)])
+def test_bad_ablate_and_sweep_arguments_exit_before_any_run(tmp_path, bench_dir, monkeypatch, argv,
+                                                            sections):
     def refuse(*_):
         raise AssertionError("a run started before the arguments were checked")
 
     monkeypatch.setattr("tkgalign.cli.run_alignment", refuse)
-    cfg_path, _ = write_config(tmp_path, bench_dir)
+    cfg_path, _ = write_config(tmp_path, bench_dir, **sections)
     assert main([argv[0], str(cfg_path), *argv[1:]]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_null_section_sweeps_and_ablates_like_an_empty_one(tmp_path, bench_dir, monkeypatch):
+    """`encoder:` or `align:` with nothing under it is null in YAML; `ablate`
+    and `sweep` set their field in it as in `{}`."""
+    runs = {}
+    monkeypatch.setattr("tkgalign.cli.run_alignment",
+                        lambda cfg, out: runs.setdefault(out.name, []).append(cfg) or (None,) * 3)
+    for empty in (None, {}):
+        cfg_path, cfg = write_config(tmp_path, bench_dir)
+        cfg_path.write_text(yaml.safe_dump({**cfg, "encoder": empty, "align": empty}))
+        for argv in (["ablate", "--component", "rff"], ["ablate", "--component", "tsm"],
+                     ["sweep", "--parameter", "layers", "--values", "1"],
+                     ["sweep", "--parameter", "alpha", "--values", "0.5"]):
+            assert main([argv[0], str(cfg_path), *argv[1:]]) == 0
+    expected = {"ablate_relation-fusion": ("encoder", {"ablate_relation_fusion": True}),
+                "ablate_time-matching": ("align", {"alpha": 0.0}),
+                "layers_1": ("encoder", {"layers": 1}),
+                "alpha_0.5": ("align", {"alpha": 0.5})}
+    for run, (section, value) in expected.items():
+        assert [cfg[section] for cfg in runs[run]] == [value, value]
 
 
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "seeds"])

@@ -366,9 +366,12 @@ LABELS = st.one_of(
 )
 SCORES = st.one_of(st.sampled_from([" 0.5 ", "1e-3", "inf", "-0.0", "1_0", "١.٥"]),
                    st.floats(allow_nan=False).map(repr))
-BLANK = st.sampled_from(["", "   ", "\t", "\t\t\t\t", " \t \t", "\f", "\u3000", "\x1c \t\x85"])
-# one bad line of each kind; the 20-digit id is beyond int64, which the
-# oracles do not check, so the test expects the reader's range error there
+# the last three are Unicode whitespace holding the field count of a pair, a
+# prediction and a quadruple line: blank only by str.strip()
+BLANK = st.sampled_from(["", "   ", "\t", "\t\t\t\t", " \t \t", "\f", "\u3000", "\x1c \t\x85",
+                         "\xa0\t\xa0", "\u2003\t\x85\t\u3000", "\u3000\t\t\t\t"])
+# bad lines of each kind; the 20-digit id is beyond int64, which the oracles
+# do not check, so the test expects the reader's range error there
 BAD = {"iiiss": ["0\t0\t1\t5", "0\t0\t1\t5\t5\t5", "x\t0\t1\t5\t5", "0\t1.5\t1\t5\t5",
                  "0\t0\t-1\t5\t5", "\t\t\t5\t5", "0\t99999999999999999999\t1\t5\t5"],
        "ii": ["0", "0\t1\t2", "x\t1", "1\t", "-1\t3", "0\t99999999999999999999", "dup"],
@@ -378,7 +381,7 @@ BAD = {"iiiss": ["0\t0\t1\t5", "0\t0\t1\t5\t5\t5", "x\t0\t1\t5\t5", "0\t1.5\t1\t
 
 @st.composite
 def table_files(draw, kinds):
-    """(text, line number of the bad line or None, that line)."""
+    """(text, [(line number, line) of each bad line, in order])."""
     n_ids = kinds.count("i")
     rows = draw(st.lists(st.tuples(*[st.integers(0, MAX_ID)] * n_ids), max_size=10,
                          unique=kinds != "iiiss"))
@@ -388,24 +391,28 @@ def table_files(draw, kinds):
         lines.append(("\t".join(
             draw(st.sampled_from(ID_LAYOUTS))(next(it)) if k == "i"
             else draw(LABELS) if k == "s" else draw(SCORES) for k in kinds), False))
-    bad = draw(st.none() | st.sampled_from(BAD[kinds]))
-    if bad == "dup" and lines:  # the first line's pair again
-        lines.insert(draw(st.integers(1, len(lines))), (lines[0][0], True))
-    elif bad not in (None, "dup"):
-        lines.insert(draw(st.integers(0, len(lines))), (bad, True))
+    for bad in draw(st.lists(st.sampled_from(BAD[kinds]), max_size=3)):
+        if bad == "dup" and lines:  # the first line's pair again
+            lines.insert(draw(st.integers(1, len(lines))), (lines[0][0], True))
+        elif bad != "dup":
+            lines.insert(draw(st.integers(0, len(lines))), (bad, True))
     for at, blank in draw(st.lists(st.tuples(st.integers(0, len(lines)), BLANK), max_size=4)):
         lines.insert(at, (blank, False))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for (line, _), end in zip(lines, ends))
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no newline after the last line
-    return text, *next(((i, line) for i, (line, b) in enumerate(lines, start=1) if b), (None, None))
+    return text, [(i, line) for i, (line, b) in enumerate(lines, start=1) if b]
 
 
 def out_of_range(path, lineno, line, kinds):
-    """The reader's error for an otherwise good line holding an id beyond int64."""
-    ids = tuple(int(x) for x, k in zip(line.split("\t"), kinds) if k == "i")
-    if len(line.split("\t")) != len(kinds) or min(ids) < 0 or max(ids) <= MAX_ID:
+    """The reader's error for a line whose first failed check is an id beyond int64."""
+    row = line.split("\t")
+    try:
+        ids = tuple(int(x) for x, k in zip(row, kinds) if k == "i")
+    except ValueError:
+        return None
+    if len(row) != len(kinds) or min(ids) < 0 or max(ids) <= MAX_ID:
         return None
     record = "quadruple" if kinds == "iiiss" else "pair"
     return f"{path}:{lineno}: id out of range in {record} {ids}"
@@ -433,16 +440,21 @@ def prediction_columns(path):
 def test_reader_equals_the_line_parser_on_random_files(tmp_path, kinds, name, parse, oracle, data):
     """Equal values, or an equal first error, on files mixing every layout
     int() accepts, CRLF, blank and whitespace-only lines, multi-byte and
-    long labels, ids of up to 20 digits and at most one bad line."""
-    text, lineno, line = data.draw(table_files(kinds))
+    long labels, ids of up to 20 digits and up to three bad lines."""
+    text, bad = data.draw(table_files(kinds))
     path = write(tmp_path, name, text)
     try:
         expected = oracle(path)
     except ParseError as exc:
         expected = exc
-    if not isinstance(expected, ParseError) and lineno is not None:
+    # the oracles do not check the range of ids: the reader's range error at
+    # the first bad line beyond int64 wins, unless the oracle fails earlier
+    at = int(re.search(r":(\d+): ", str(expected))[1]) if isinstance(expected, ParseError) else None
+    for lineno, line in bad:
         message = out_of_range(path, lineno, line, kinds)
-        expected = ParseError(message) if message else expected
+        if message and (at is None or lineno <= at):
+            expected = ParseError(message)
+            break
     if isinstance(expected, ParseError):
         with pytest.raises(ParseError) as exc:
             parse(path)
