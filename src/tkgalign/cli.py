@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -64,9 +65,20 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _build(cls, section: dict, name: str):
+def _section(cfg: dict, name: str) -> dict:
+    """The `name` section of `cfg`: a missing or null section is `{}`; any
+    other non-mapping is a ConfigError."""
+    part = cfg.get(name)
+    if part is None:
+        return {}
+    if not isinstance(part, dict):
+        raise ConfigError(f"[{name}] section must be a mapping, got {part!r}")
+    return part
+
+
+def _build(cls, cfg: dict, name: str):
     try:
-        return cls(**(section or {}))
+        return cls(**_section(cfg, name))
     except TypeError as exc:
         raise ConfigError(f"invalid field in [{name}] section: {exc}") from None
     except ValueError as exc:
@@ -110,10 +122,10 @@ def parse_configs(
     for p in (layout.quads1, layout.quads2):
         if not Path(p).is_file():
             raise ConfigError(f"quadruple file missing: {p}")
-    enc = _build(EncoderConfig, cfg.get("encoder"), "encoder")
-    trn = _build(TrainConfig, cfg.get("train"), "train")
-    aln = _build(AlignConfig, cfg.get("align"), "align")
-    ev = _build(EvalConfig, cfg.get("eval"), "eval")
+    enc = _build(EncoderConfig, cfg, "encoder")
+    trn = _build(TrainConfig, cfg, "train")
+    aln = _build(AlignConfig, cfg, "align")
+    ev = _build(EvalConfig, cfg, "eval")
     return layout, enc, trn, aln, ev
 
 
@@ -189,14 +201,9 @@ def run_alignment(
 
 
 def _override(cfg: dict, section: str, field_name: str, value) -> dict:
-    """A deep copy of `cfg` with `field_name` of `section` set to `value`. A
-    missing or null section counts as `{}`; any other non-mapping is a
-    ConfigError."""
+    """A deep copy of `cfg` with `field_name` of `section` set to `value`."""
     cfg = json.loads(json.dumps(cfg))
-    part = {} if cfg.get(section) is None else cfg[section]
-    if not isinstance(part, dict):
-        raise ConfigError(f"[{section}] section must be a mapping, got {part!r}")
-    cfg[section] = {**part, field_name: value}
+    cfg[section] = {**_section(cfg, section), field_name: value}
     return cfg
 
 
@@ -277,18 +284,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        entities=args.entities,
-        relations=args.relations,
-        timestamps=args.timestamps,
-        quads_per_entity=args.quads_per_entity,
-        edge_noise=args.edge_noise,
-        time_noise=args.time_noise,
-        seed_pairs=args.seed_pairs,
-        unique_times=args.unique_times,
-        rng_seed=args.rng_seed,
-    )
-    ds = make_benchmark(params)
+    fields = {f.name for f in dataclasses.fields(SynthParams)}
+    ds = make_benchmark(SynthParams(**{k: v for k, v in vars(args).items() if k in fields}))
     layout = write_benchmark(ds, args.out_dir)
     print(f"wrote {len(ds.quads1)}+{len(ds.quads2)} quadruples, "
           f"{len(ds.sup_pairs)} seed / {len(ds.ref_pairs)} reference pairs to {args.out_dir}")
@@ -296,9 +293,10 @@ def cmd_synth(args) -> int:
 
 
 def _pair_keys(*sets: AlignmentPairSet) -> list[np.ndarray]:
-    """One int64 key per pair of each set, equal exactly for equal pairs."""
-    width = 1 + max((int(s.targets.max()) for s in sets if len(s)), default=0)
-    return [s.sources * width + s.targets for s in sets]
+    """One key per pair of each set, its two int64 ids viewed as one 16-byte
+    value: equal exactly for equal pairs."""
+    return [np.column_stack([s.sources, s.targets]).view(np.dtype((np.void, 16))).ravel()
+            for s in sets]
 
 
 def cmd_seeds(args) -> int:
@@ -324,7 +322,7 @@ def cmd_eval(args) -> int:
     source: an [eval] section that sets other ks or bidirectional exits 2."""
     cfg = load_config(args.config)
     layout, *_, ev = parse_configs(cfg)
-    if ("ks" in (cfg.get("eval") or {}) and ev.ks != (1,)) or ev.bidirectional:
+    if ("ks" in _section(cfg, "eval") and ev.ks != (1,)) or ev.bidirectional:
         raise ConfigError(
             "eval reports source-side hits@1 only (a prediction file holds one target per "
             "source): the [eval] section may set ks only to [1] and bidirectional only to false"

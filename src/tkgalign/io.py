@@ -16,9 +16,8 @@ bytes are UTF-8. One numpy pass then finds the tabs and newlines and the
 field count of every line; a line is blank when str.strip() empties it.
 Each column is converted whole:
   ids      a field of 1 to 18 ASCII digits (canonical) is converted by
-           8-byte word arithmetic; so is one padded with the spaces int()
-           strips or signed with '+', once stripped. Any other field
-           (`1_000`, non-ASCII digits, 19 or more digits, '-0') goes
+           8-byte word arithmetic. Any other field (padded, '+'-signed,
+           `1_000`, non-ASCII digits, 19 or more digits, '-0') goes
            through int(), only that field.
   labels   the distinct raw labels and an index per record, from
            `np.unique` on the bytes of each label packed into one uint64.
@@ -74,13 +73,11 @@ _MAX_ID = int(np.iinfo(np.int64).max)
 _MAX_DIGITS = 18  # any run of this many ASCII digits fits int64
 _PACKED = 7  # a label of up to this many bytes packs, with its length, into one uint64
 _PAD = 3 * 8  # zero bytes before the text, so that the words of an 18-digit field are in range
-# the bytes int() strips around an id
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(b" \t\n\v\f\r")] = True
-# the bytes that may begin or end a line that str.strip() empties: those, the
-# separators 0x1C to 0x1F and any byte of a multi-byte UTF-8 character
-_MAYBE_SPACE = _IS_SPACE.copy()
-_MAYBE_SPACE[0x1C:0x20] = _MAYBE_SPACE[0x80:] = True
+# the bytes that may begin or end a line that str.strip() empties: the ASCII
+# spaces, the separators 0x1C to 0x1F, any byte of a multi-byte UTF-8
+# character, and the zero byte that precedes an empty first line
+_MAYBE_SPACE = np.zeros(256, dtype=bool)
+_MAYBE_SPACE[list(b"\0 \t\n\v\f\r")] = _MAYBE_SPACE[0x1C:0x20] = _MAYBE_SPACE[0x80:] = True
 # _BELOW[c] has the low 8 - c bytes of a word set: the bytes before its last c
 _BELOW = np.array([(1 << 8 * (8 - c)) - 1 for c in range(9)], dtype=np.uint64)
 _ZEROS, _HIGH, _SIX = (np.uint64(int.from_bytes(bytes([x]) * 8, "little")) for x in (48, 0xF0, 6))
@@ -139,7 +136,7 @@ def _digits(win: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     ok, value = (length > 0) & (length <= _MAX_DIGITS), np.zeros(len(start), dtype=np.int64)
     for w in range(-(-min(int(length.max(initial=0)), _MAX_DIGITS) // 8)):
         below = _BELOW[np.clip(length - 8 * w, 0, 8)]
-        word = win[end - 8 * w + _PAD - 8] & ~below | _ZEROS & below
+        word = win[end - 8 * w - 8] & ~below | _ZEROS & below
         ok &= (word & _HIGH == _ZEROS) & ((word + _SIX) & _HIGH == _ZEROS)
         for mask, scale, shift in _SWAR:
             word = (word & mask) * scale >> shift
@@ -147,27 +144,13 @@ def _digits(win: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     return value, ok
 
 
-def _byte_ids(win: np.ndarray, buf: np.ndarray, text: bytes, start: np.ndarray,
+def _byte_ids(win: np.ndarray, text: bytes, start: np.ndarray,
               end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ids in the fields `text[start:end]`, and the positions of the
     fields rejected: by int(), or as negative or beyond int64. A field of
-    ASCII digits, also after stripping the spaces int() strips and one '+',
-    is read by `_digits`; any other by int()."""
+    ASCII digits is read by `_digits`; any other by int()."""
     ids, ok = _digits(win, start, end)
     odd = np.flatnonzero(~ok)
-    if odd.size:
-        s, e = start[odd], end[odd]
-        i = np.flatnonzero((s < e) & _IS_SPACE[buf[s]])
-        while i.size:
-            s[i] += 1
-            i = i[(s[i] < e[i]) & _IS_SPACE[buf[s[i]]]]
-        i = np.flatnonzero((s < e) & _IS_SPACE[buf[e - 1]])
-        while i.size:
-            e[i] -= 1
-            i = i[(s[i] < e[i]) & _IS_SPACE[buf[e[i] - 1]]]
-        s += (s < e) & (buf[s] == ord("+"))
-        ids[odd], ok = _digits(win, s, e)
-        odd = odd[~ok]
     if odd.size:  # -1 marks a rejected field
         ids[odd] = [v if v is not None and 0 <= v <= _MAX_ID else -1
                     for v in _parsed(int, text, start[odd], end[odd])]
@@ -182,7 +165,7 @@ def _byte_labels(win: np.ndarray, text: bytes, start: np.ndarray,
     field: up to 7 bytes packed with the length in the top byte, or a
     longer label's first-seen number under a top byte of 255."""
     length = end - start
-    key = win[start + _PAD] & _BELOW[8 - np.clip(length, 0, _PACKED)]
+    key = win[start] & _BELOW[8 - np.clip(length, 0, _PACKED)]
     key |= length.astype(np.uint64) << np.uint64(56)
     long = np.flatnonzero(length > _PACKED)
     more, number = _distinct([text[a:b] for a, b in zip(start[long].tolist(), end[long].tolist())])
@@ -197,9 +180,10 @@ def _byte_labels(win: np.ndarray, text: bytes, start: np.ndarray,
 
 
 def _records(buf: np.ndarray, text: bytes, n: int) -> tuple[np.ndarray, ...]:
-    """Where each line of `buf` (`text` ending in a newline) starts, which are
-    records, the lines neither records nor blank (that str.strip() does not
-    empty), and where each record's n fields end: at its tabs and newline."""
+    """Where each line of `buf` (the bytes of `text`, whose lines start after
+    `_PAD` zero bytes and end in a newline) starts, which are records, the
+    lines neither records nor blank (that str.strip() does not empty), and
+    where each record's n fields end: at its tabs and newline."""
     is_sep = buf == ord("\t")
     is_sep |= buf == ord("\n")
     sep = np.flatnonzero(is_sep)
@@ -207,7 +191,7 @@ def _records(buf: np.ndarray, text: bytes, n: int) -> tuple[np.ndarray, ...]:
     ends = np.flatnonzero(buf[sep] == ord("\n"))  # where each line ends, in `sep`
     per_line = np.diff(ends, prepend=-1)
     line_end = sep[ends]
-    line_start = np.concatenate(([0], line_end[:-1] + 1))
+    line_start = np.concatenate(([_PAD], line_end[:-1] + 1))
     # a blank line starts and ends with a byte str.strip() may remove (an
     # empty one with the newline)
     blank = _MAYBE_SPACE[buf[line_start]] & _MAYBE_SPACE[buf[line_end - 1]]
@@ -238,17 +222,18 @@ def _read_columns(path: Path, kinds: str, pairs: bool = False) -> list:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ParseError(
                 f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}") from None
-    text = data if data.endswith(b"\n") else data + b"\n"
-    padded = b"".join([bytes(_PAD), text, bytes(8)])
-    buf = np.frombuffer(padded, dtype=np.uint8, count=len(text), offset=_PAD)
-    # win[p + _PAD] is the little-endian word of the 8 bytes from text[p]
-    win = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    # the only copy of the file held from here on, its lines between zero bytes
+    text = b"".join([bytes(_PAD), data, b"" if data.endswith(b"\n") else b"\n", bytes(8)])
+    del data
+    buf = np.frombuffer(text, dtype=np.uint8)
+    # win[p] is the little-endian word of the 8 bytes from text[p]
+    win = np.ndarray((len(text) - 7,), dtype="<u8", buffer=text, strides=(1,))
     line_start, record, wrong, field_end = _records(buf, text, len(kinds))
     columns, rejected = [], []  # the first record each check rejects
     for j, k in enumerate(kinds):
         start, end = line_start[record] if j == 0 else field_end[:, j - 1] + 1, field_end[:, j]
         if k == "i":
-            column, bad = _byte_ids(win, buf, text, start, end)
+            column, bad = _byte_ids(win, text, start, end)
         elif k == "s":
             column, bad = _byte_labels(win, text, start, end), []
         else:

@@ -6,7 +6,8 @@ information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -74,8 +75,6 @@ class TemporalKG:
     quadruples: np.ndarray
     adjacency: sp.csr_matrix
     degree: np.ndarray
-    _mean_operator: sp.csr_matrix | None = field(default=None, repr=False)
-    _relation_operator: sp.csr_matrix | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, quadruples, entity_count: int, relation_count: int) -> "TemporalKG":
@@ -109,30 +108,25 @@ class TemporalKG:
             degree=np.diff(adjacency.indptr).astype(np.int64),
         )
 
-    @property
+    @cached_property
     def mean_operator(self) -> sp.csr_matrix:
         """Row-normalized adjacency D^-1 A: one application takes the mean
         over each entity's neighbor set (self included)."""
-        if self._mean_operator is None:
-            inv_deg = sp.diags(1.0 / self.degree.astype(np.float64))
-            self._mean_operator = (inv_deg @ self.adjacency).tocsr()
-        return self._mean_operator
+        return (sp.diags(1.0 / self.degree.astype(np.float64)) @ self.adjacency).tocsr()
 
-    @property
+    @cached_property
     def relation_operator(self) -> sp.csr_matrix:
         """Sparse (entities x relations) operator whose application takes the
         mean relation embedding over each entity's incident relation multiset
         (a quadruple counts once for its head and once for its tail).
         Rows of entities with no incident relations are all-zero."""
-        if self._relation_operator is None:
-            q = self.quadruples
-            rows = np.concatenate([q[:, HEAD], q[:, TAIL]])
-            incident = np.bincount(rows, minlength=self.entity_count)
-            self._relation_operator = sp.coo_matrix(
-                (1.0 / incident[rows], (rows, np.tile(q[:, RELATION], 2))),
-                shape=(self.entity_count, self.relation_count),
-            ).tocsr()
-        return self._relation_operator
+        q = self.quadruples
+        rows = np.concatenate([q[:, HEAD], q[:, TAIL]])
+        incident = np.bincount(rows, minlength=self.entity_count)
+        return sp.coo_matrix(
+            (1.0 / incident[rows], (rows, np.tile(q[:, RELATION], 2))),
+            shape=(self.entity_count, self.relation_count),
+        ).tocsr()
 
 
 def union_graph(kg1: TemporalKG, kg2: TemporalKG) -> TemporalKG:

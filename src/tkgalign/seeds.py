@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kg import AlignmentPairSet
-from .timesim import ScoreRows, TimeScores, entry_chunks
+from .timesim import ScoreRows, SimilarityMatrix, TimeScores, entry_chunks
 
 # a stored exact match is exactly 1.0 (2c = m + n, and x / x is exact); the
 # tolerance only serves hand-built score matrices
@@ -29,8 +29,11 @@ def generate_seeds(time_sim: ScoreRows) -> AlignmentPairSet:
         raise ValueError("seed generation expects a time similarity matrix")
     if isinstance(time_sim, TimeScores):
         rows, cols = _signature_join(*time_sim.counts)
-    else:
+    elif isinstance(time_sim, SimilarityMatrix):
         rows, cols = _exact_scores(time_sim.scores)
+    else:
+        raise ValueError("seed generation expects a TimeScores or SimilarityMatrix, "
+                         f"got {type(time_sim).__name__}")
     src = np.asarray(time_sim.source_ids)[rows]
     tgt = np.asarray(time_sim.target_ids)[cols]
     order = np.lexsort((tgt, src))

@@ -222,6 +222,21 @@ def test_eval_command_scores_the_last_prediction_of_a_source(tmp_path, bench_dir
     assert f"references: {len(refs)}  predicted: 3  hits@1: {2 / len(refs):.4f}" in out
 
 
+# ids at which an int64 key source * (1 + max target) + target would make
+# (2, 3) collide with the reference (0, 1), or overflow
+@pytest.mark.parametrize("last_target", [2**63 - 2, 2**63 - 1])
+def test_eval_command_matches_pairs_exactly(tmp_path, capsys, last_target):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for name in ("triples_1", "triples_2"):
+        (ds / name).write_text("0\t0\t1\t1\t1\n")
+    (ds / "ref_pairs").write_text("0\t1\n")
+    cfg_path, _ = write_config(tmp_path, ds)
+    (tmp_path / "preds.tsv").write_text(f"0\t2\t0.5\n2\t3\t0.5\n1\t{last_target}\t0.5\n")
+    assert main(["eval", str(cfg_path), "--predictions", str(tmp_path / "preds.tsv")]) == 0
+    assert capsys.readouterr().out == "references: 1  predicted: 1  hits@1: 0.0000\n"
+
+
 def test_eval_command_reports_a_bad_prediction_line(tmp_path, bench_dir, capsys):
     cfg_path, _ = write_config(tmp_path, bench_dir)
     (tmp_path / "preds.tsv").write_text("0\t0\t0.5\n1\t1\thigh\n")
@@ -340,9 +355,16 @@ def pair_files(bench_dir, **extra):
     (lambda d: {"dataset": pair_files(d, quads3="x")}, "unknown key in 'dataset': 'quads3'"),
     (lambda d: {"dataset": pair_files(d, quads1=str(d))}, "quadruple file missing"),
     (lambda d: {"dataset": str(d), "output_dir": 5}, "output_dir must be a path string"),
+    (lambda d: {"dataset": str(d), "encoder": 0}, "[encoder] section must be a mapping, got 0"),
+    (lambda d: {"dataset": str(d), "align": []}, "[align] section must be a mapping, got []"),
+    (lambda d: {"dataset": str(d), "train": ""}, "[train] section must be a mapping, got ''"),
+    (lambda d: {"dataset": str(d), "eval": False}, "[eval] section must be a mapping, got False"),
+    (lambda d: {"dataset": str(d), "align": [0.5]}, "[align] section must be a mapping, got [0.5]"),
+    (lambda d: {"dataset": str(d), "encoder": 5}, "[encoder] section must be a mapping, got 5"),
     (None, "config file not found"),
 ], ids=["yaml", "yaml-line", "no-quads2", "int-dataset", "int-sup-pairs", "unknown-key",
-        "directory-quads1", "int-output-dir", "directory"])
+        "directory-quads1", "int-output-dir", "zero-encoder", "empty-list-align", "empty-train",
+        "false-eval", "list-align", "int-encoder", "directory"])
 @pytest.mark.parametrize("command", ["align", "seeds"])
 def test_malformed_config_exits_2_without_a_traceback(tmp_path, bench_dir, capsys, config,
                                                       message, command):

@@ -57,6 +57,12 @@ def test_requires_time_kind():
         generate_seeds(m)
 
 
+def test_rejects_a_time_matrix_of_another_type():
+    rows = build_time_similarity_matrix(*planted_counts(0)).submatrix(np.arange(3), np.arange(3))
+    with pytest.raises(ValueError, match="TimeScores or SimilarityMatrix, got BlockedScores"):
+        generate_seeds(rows)
+
+
 def test_tolerance_absorbs_rounding():
     score = 2 * 3 / (3 + 3)  # exactly 1 in this case, perturb slightly
     m = time_matrix([[score - 1e-13]])
