@@ -33,20 +33,13 @@ class ConfigError(ValueError):
     pass
 
 
-ABLATION_ALIASES = {
-    "relation-fusion": "relation-fusion",
-    "rff": "relation-fusion",
-    "global-concat": "global-concat",
-    "gar": "global-concat",
-    "time-matching": "time-matching",
-    "tsm": "time-matching",
-}
 # the config field each ablation sets: section, field, value
 ABLATIONS = {
     "relation-fusion": ("encoder", "ablate_relation_fusion", True),
     "global-concat": ("encoder", "ablate_global_concat", True),
     "time-matching": ("align", "alpha", 0.0),
 }
+ABLATION_ALIASES = {"rff": "relation-fusion", "gar": "global-concat", "tsm": "time-matching"}
 
 
 def load_config(path: str | Path) -> dict:
@@ -129,6 +122,19 @@ def parse_configs(
     return layout, enc, trn, aln, ev
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
+def _run_text(report: EvalReport | None, summary: dict) -> str:
+    """The metric lines of a run with references, then its mode and, when
+    scored, its iterations."""
+    lines = [] if report is None else [report.to_text()]
+    lines += [f"{k} = {summary[k]}" for k in ("mode", "iterations") if k in summary]
+    return "\n".join(lines)
+
+
 def run_alignment(
     cfg: dict, out_dir: Path | None = None
 ) -> tuple[EvalReport | None, IterationResult, dict]:
@@ -156,47 +162,30 @@ def run_alignment(
     result = iterate(state, kg1, kg2, seeds, enc, trn, aln, time_matrix, references=refs)
 
     kg_io.write_predictions(result.predictions, out / "predictions.tsv")
-    with open(out / "loss.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss"])
-        w.writerows(enumerate(result.losses, start=1))
-    with open(out / "iterations.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "pseudo_pairs_added", "train_pool_size"])
-        w.writerows(result.report)
+    _write_csv(out / "loss.csv", ["epoch", "loss"], enumerate(result.losses, start=1))
+    _write_csv(out / "iterations.csv", ["iteration", "pseudo_pairs_added", "train_pool_size"],
+               result.report)
 
-    report = None
-    if result.reference_ranks is not None:
-        report = evaluate(
-            result.similarity,
-            refs,
-            ks=ev.ks,
-            bidirectional=ev.bidirectional,
-            row_ranks=result.reference_ranks,
-        )
+    report = None if result.reference_ranks is None else evaluate(
+        result.similarity, refs, ks=ev.ks, bidirectional=ev.bidirectional,
+        row_ranks=result.reference_ranks)
 
     mode = ("unsupervised " if unsupervised else "supervised ") + (
         "non-iterative" if aln.iterations == 1 else "iterative"
     )
+    scored = {} if report is None else {**report.to_dict(), "iterations": aln.iterations}
     summary = {
         "mode": mode,
         "seed_count": len(seeds),
         "parameter_count": state.parameter_count,
         "merged_timestamps": vocab.size,
         "wall_clock_seconds": round(time.time() - t0, 3),
+        **scored,
         "config": cfg,
     }
-    if report is not None:
-        report.metadata.update({"mode": mode, "iterations": aln.iterations})
-        summary.update(report.to_dict())
-        summary.pop("config", None)
-        summary["config"] = cfg
-    with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, default=str)
-    with open(out / "report.txt", "w", encoding="utf-8") as f:
-        if report is not None:
-            f.write(report.to_text() + "\n")
-        f.write(f"mode = {mode}\nseeds = {len(seeds)}\n")
+    (out / "report.json").write_text(json.dumps(summary, indent=2, default=str), encoding="utf-8")
+    (out / "report.txt").write_text(f"{_run_text(report, summary)}\nseeds = {len(seeds)}\n",
+                                    encoding="utf-8")
     return report, result, summary
 
 
@@ -207,14 +196,17 @@ def _override(cfg: dict, section: str, field_name: str, value) -> dict:
     return cfg
 
 
+def _ablation(component: str) -> str:
+    """The name in ABLATIONS of `component`, a name or alias in any case."""
+    name = ABLATION_ALIASES.get(component.lower(), component.lower())
+    if name not in ABLATIONS:
+        raise ConfigError(f"unknown ablation component {component!r}; "
+                          f"expected one of {sorted([*ABLATIONS, *ABLATION_ALIASES])}")
+    return name
+
+
 def apply_ablation(cfg: dict, component: str) -> dict:
-    key = ABLATION_ALIASES.get(component.lower())
-    if key is None:
-        raise ConfigError(
-            f"unknown ablation component {component!r}; "
-            f"expected one of {sorted(set(ABLATION_ALIASES))}"
-        )
-    return _override(cfg, *ABLATIONS[key])
+    return _override(cfg, *ABLATIONS[_ablation(component)])
 
 
 def cmd_align(args) -> int:
@@ -222,7 +214,7 @@ def cmd_align(args) -> int:
     report, _, summary = run_alignment(cfg, args.output_dir)
     print(f"mode: {summary['mode']}")
     if report is not None:
-        print(report.to_text())
+        print(_run_text(report, summary))
     return 0
 
 
@@ -230,9 +222,10 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _output_dir(cfg, args.output_dir)
     # an unknown component exits before the full run writes anything
-    ablated_cfg = apply_ablation(cfg, args.component)
+    name = _ablation(args.component)
+    ablated_cfg = apply_ablation(cfg, name)
     full_report, _, _ = run_alignment(cfg, out / "full")
-    abl_report, _, _ = run_alignment(ablated_cfg, out / f"ablate_{ABLATION_ALIASES[args.component.lower()]}")
+    abl_report, _, _ = run_alignment(ablated_cfg, out / f"ablate_{name}")
     for label, rep in (("full", full_report), (args.component, abl_report)):
         if rep is None:
             print(f"{label}: no references, nothing to score")
@@ -250,36 +243,26 @@ SWEEP_TARGETS = {
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if not args.values:
-        raise ConfigError("sweep needs at least one value")
     section, field_name, cast = SWEEP_TARGETS[args.parameter]
-    # every value is cast and its config checked before the first run
-    runs = []
+    # every value is cast and its config checked before the first run; two
+    # equal values would share one run directory
+    runs = {}
     for raw in args.values:
         value = cast(raw)
-        run_cfg = _override(cfg, section, field_name, value)
-        parse_configs(run_cfg)
-        runs.append((value, run_cfg))
+        if value in runs:
+            raise ConfigError(f"sweep value {raw!r} repeats {args.parameter} = {value}")
+        runs[value] = _override(cfg, section, field_name, value)
+        parse_configs(runs[value])
     out = _output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, run_cfg in runs:
+    for value, run_cfg in runs.items():
         report, _, _ = run_alignment(run_cfg, out / f"{args.parameter}_{value}")
-        rows.append(
-            {
-                args.parameter: value,
-                "hits@1": report.hits_at.get(1) if report else None,
-                "hits@10": report.hits_at.get(10) if report else None,
-                "mrr": report.mrr if report else None,
-            }
-        )
-    sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
+        scores = (report.hits_at.get(1), report.hits_at.get(10), report.mrr) if report else ()
+        rows.append((value, *(scores or (None,) * 3)))
+    _write_csv(out / "sweep.csv", [args.parameter, "hits@1", "hits@10", "mrr"], rows)
     for row in rows:
-        print("\t".join(str(v) for v in row.values()))
+        print("\t".join(str(v) for v in row))
     return 0
 
 

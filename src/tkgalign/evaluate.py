@@ -1,7 +1,7 @@
 """Ranking metrics over reference alignment pairs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,22 +39,18 @@ class EvalReport:
     hits_at: dict[int, float]
     mrr: float
     pool_size: int
-    metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             **{f"hits@{k}": v for k, v in sorted(self.hits_at.items())},
             "mrr": self.mrr,
             "pool_size": self.pool_size,
-            **self.metadata,
         }
 
     def to_text(self) -> str:
         lines = [f"hits@{k} = {v:.4f}" for k, v in sorted(self.hits_at.items())]
         lines.append(f"mrr    = {self.mrr:.4f}")
         lines.append(f"pool   = {self.pool_size}")
-        for key, val in self.metadata.items():
-            lines.append(f"{key} = {val}")
         return "\n".join(lines)
 
 

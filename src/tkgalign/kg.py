@@ -61,20 +61,17 @@ def _first_bad_row(bad: np.ndarray, q: np.ndarray, what: str) -> None:
 
 @dataclass
 class TemporalKG:
-    """One temporal KG: quadruples plus derived adjacency structures.
+    """One temporal KG: quadruples plus the structures derived from them.
 
     `quadruples` is an (n, 5) int64 array with columns head, relation, tail,
-    time_begin and time_end; a point in time has begin == end. `adjacency`
-    is the symmetric 0/1 entity graph with self-loops (parallel edges
-    collapse to one entry) and `degree` counts each row's entries.
-    Immutable after construction; safe for concurrent reads.
+    time_begin and time_end; a point in time has begin == end. The derived
+    structures are built on first read and cached: only one thread reads a
+    graph, as concurrent first reads would each build them.
     """
 
     entity_count: int
     relation_count: int
     quadruples: np.ndarray
-    adjacency: sp.csr_matrix
-    degree: np.ndarray
 
     @classmethod
     def build(cls, quadruples, entity_count: int, relation_count: int) -> "TemporalKG":
@@ -90,23 +87,27 @@ class TemporalKG:
         _first_bad_row((np.minimum(heads, tails) < 0)
                        | (np.maximum(heads, tails) >= entity_count), q, "entity")
         _first_bad_row(np.minimum(q[:, TIME_BEGIN], q[:, TIME_END]) < 0, q, "time")
+        return cls(entity_count=entity_count, relation_count=relation_count, quadruples=q)
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """The symmetric 0/1 entity graph with self-loops; parallel edges
+        collapse to one entry."""
         # one sorted int64 key row·n + col per entry, both directions and the
         # self-loops; a parallel edge repeats a key, so only the first key and
         # each one unlike the key before it are kept
-        n = entity_count
+        n, heads, tails = self.entity_count, self.quadruples[:, HEAD], self.quadruples[:, TAIL]
         keys = np.concatenate([heads * n + tails, tails * n + heads, np.arange(n) * (n + 1)])
         keys.sort()
         keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         keys %= n  # the column of each entry
-        adjacency = sp.csr_matrix((np.ones(len(keys)), keys, indptr), shape=(n, n))
-        return cls(
-            entity_count=entity_count,
-            relation_count=relation_count,
-            quadruples=q,
-            adjacency=adjacency,
-            degree=np.diff(adjacency.indptr).astype(np.int64),
-        )
+        return sp.csr_matrix((np.ones(len(keys)), keys, indptr), shape=(n, n))
+
+    @property
+    def degree(self) -> np.ndarray:
+        """The entry count of each row of `adjacency`."""
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
     @cached_property
     def mean_operator(self) -> sp.csr_matrix:

@@ -3,7 +3,8 @@
 Criteria 1-5 and 9 are oracle/property checks that run in seconds.  Criteria
 6-8 share a single 1,000-entity-per-side synthetic benchmark (5% edge noise,
 5% timestamp noise, 50 gold seeds, 300 epochs, 2 bootstrap iterations) and
-take a few minutes combined.  Criterion 10 is an optional hours-scale dataset
+take under two minutes combined on one BLAS thread, most of it criterion 7's
+ablation runs.  Criterion 10 is an optional hours-scale dataset
 reproduction that only runs when TKGALIGN_DICEWS_DIR points at the dataset.
 
 Run with ``pytest tests/test_acceptance.py -v``; the per-criterion verdict

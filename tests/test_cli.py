@@ -62,6 +62,24 @@ def test_single_iteration_reports_non_iterative_mode(tmp_path, bench_dir):
     assert report["mode"] == "supervised non-iterative"
 
 
+@pytest.mark.parametrize("refs", [True, False], ids=["references", "no-references"])
+def test_report_txt_names_each_key_once(tmp_path, bench_dir, capsys, refs):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for name in ("triples_1", "triples_2", "sup_pairs", *(["ref_pairs"] if refs else [])):
+        (ds / name).write_bytes((bench_dir / name).read_bytes())
+    cfg_path, _ = write_config(tmp_path, ds, dataset=str(ds), train={"epochs": 5})
+    assert main(["align", str(cfg_path)]) == 0
+    text = (tmp_path / "out" / "report.txt").read_text()
+    keys = [line.split("=")[0].strip() for line in text.splitlines()]
+    assert len(keys) == len(set(keys)), text
+    assert keys[-2:] == (["iterations", "seeds"] if refs else ["mode", "seeds"])
+    # `align` prints the mode, then report.txt's lines up to the seed count
+    mode = json.loads((tmp_path / "out" / "report.json").read_text())["mode"]
+    printed = text.rsplit("seeds", 1)[0] if refs else ""
+    assert capsys.readouterr().out == f"mode: {mode}\n{printed}"
+
+
 def without_seeds(tmp_path, bench_dir):
     """A copy of the dataset with no seed file; the held-out seed entities
     become extra references so they stay covered."""
@@ -137,11 +155,14 @@ def test_sweep_layers_table_shape(tmp_path, bench_dir):
     (["sweep", "--parameter", "alpha", "--values", "0.5", "abc"], {}),
     (["sweep", "--parameter", "layers", "--values", "1", "0"], {}),
     (["sweep", "--parameter", "dimension", "--values", "8", "1.5"], {}),
+    # values that cast to the same number would share one run directory
+    (["sweep", "--parameter", "alpha", "--values", "0", "0.0"], {}),
+    (["sweep", "--parameter", "layers", "--values", "1", "01"], {}),
     (["ablate", "--component", "rff"], {"encoder": 5}),
     (["ablate", "--component", "tsm"], {"align": [0.5]}),
     (["sweep", "--parameter", "layers", "--values", "1"], {"encoder": 5}),
     (["sweep", "--parameter", "alpha", "--values", "0.5"], {"align": "x"}),
-], ids=[f"argv{i}" for i in range(8)])
+], ids=[f"argv{i}" for i in range(10)])
 def test_bad_ablate_and_sweep_arguments_exit_before_any_run(tmp_path, bench_dir, monkeypatch, argv,
                                                             sections):
     def refuse(*_):
@@ -406,5 +427,5 @@ def test_reproducible_artifacts(tmp_path, bench_dir):
     cfg_path, cfg = write_config(tmp_path, bench_dir, train={"epochs": 15}, align={"iterations": 1})
     run_alignment(cfg, tmp_path / "r1")
     run_alignment(cfg, tmp_path / "r2")
-    for name in ("predictions.tsv", "loss.csv", "iterations.csv"):
+    for name in ("predictions.tsv", "loss.csv", "iterations.csv", "report.txt"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
