@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoder import EmbeddingState, EncoderConfig, block_rows, check_field_types, forward
 from .evaluate import RowRanks
-from .kg import AlignmentPairSet, TemporalKG, union_graph
+from .kg import AlignmentPairSet, TemporalKG, check_pair_ids, union_graph
 from .timesim import BlockedScores, ScoreRows, TimeScores
 from .trainer import TrainConfig, train_on_union
 
@@ -121,8 +121,9 @@ def embedding_similarity(
     src = np.asarray(source_ids, dtype=np.int64)
     tgt = np.asarray(target_ids, dtype=np.int64)
     g1 = np.ascontiguousarray(global1, dtype=np.float64)
-    if len(src) and not (src.min() >= 0 and src.max() < len(g1)):
-        raise IndexError(f"source ids must be in [0, {len(g1)})")
+    for name, ids, n in (("source", src, len(g1)), ("target", tgt, len(global2))):
+        if len(ids) and not (ids.min() >= 0 and ids.max() < n):
+            raise IndexError(f"{name} ids must be in [0, {n})")
     b = _normalize_rows(np.asarray(global2, dtype=np.float64)[tgt])
     return BlockedScores(src, tgt, _ReadAhead(g1, src, b), "embedding")
 
@@ -400,14 +401,17 @@ def iterate(
     they are decoded over the entities outside the training pool.
 
     `time_matrix` must cover all entities of both graphs (rows = G1 ids,
-    columns = G2 ids). Raises FloatingPointError when training leaves a
-    non-finite value in an embedding table, which would otherwise decide
-    argmax ties by its position.
+    columns = G2 ids), and so must seeds and references (else ValueError).
+    Raises FloatingPointError when training leaves a non-finite value in an
+    embedding table, which would otherwise decide argmax ties by its position.
     """
     if len(seeds) == 0:
         raise ValueError("iteration needs seeds (gold or generated)")
     if time_matrix.shape != (kg1.entity_count, kg2.entity_count):
         raise ValueError("time_matrix must be full |E1| x |E2|")
+    for what, pairs in (("seed", seeds), ("reference", references)):
+        if pairs is not None:
+            check_pair_ids(pairs.sources, pairs.targets, *time_matrix.shape, what)
 
     union = union_graph(kg1, kg2)
     n1 = kg1.entity_count

@@ -16,10 +16,8 @@ def rank_of_truth(sim_row: np.ndarray, truth_index: int) -> int:
     row = np.asarray(sim_row, dtype=np.float64)
     if not 0 <= truth_index < len(row):
         raise ValueError("truth index outside the candidate pool")
-    t = row[truth_index]
-    greater = int((row > t).sum())
-    ties = int((row == t).sum()) - 1
-    return 1 + greater + ties
+    # 1 + #(> truth) + (#(== truth) - 1)
+    return int((row >= row[truth_index]).sum())
 
 
 @dataclass
@@ -49,9 +47,7 @@ class EvalReport:
 
     def to_text(self) -> str:
         lines = [f"hits@{k} = {v:.4f}" for k, v in sorted(self.hits_at.items())]
-        lines.append(f"mrr    = {self.mrr:.4f}")
-        lines.append(f"pool   = {self.pool_size}")
-        return "\n".join(lines)
+        return "\n".join([*lines, f"mrr    = {self.mrr:.4f}", f"pool   = {self.pool_size}"])
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray, missing: str) -> np.ndarray:

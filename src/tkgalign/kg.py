@@ -53,6 +53,18 @@ def build_merged_time_vocabulary(
 HEAD, RELATION, TAIL, TIME_BEGIN, TIME_END = range(5)
 
 
+def sorted_key_csr(keys: np.ndarray, rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """Sort int64 keys row·width + col in place; the CSR of the distinct
+    keys: (indptr, columns, the run count of each entry's key)."""
+    keys.sort()
+    # a run of equal keys starts at the first key and at each one unlike the key before it
+    starts = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
+    runs, keys = np.diff(starts, append=len(keys)), keys[starts]
+    indptr = np.searchsorted(keys, np.arange(rows + 1) * width)
+    keys %= width  # the column of each entry
+    return indptr, keys, runs
+
+
 def _first_bad_row(bad: np.ndarray, q: np.ndarray, what: str) -> None:
     if bad.any():
         idx = int(np.argmax(bad))
@@ -93,16 +105,11 @@ class TemporalKG:
     def adjacency(self) -> sp.csr_matrix:
         """The symmetric 0/1 entity graph with self-loops; parallel edges
         collapse to one entry."""
-        # one sorted int64 key row·n + col per entry, both directions and the
-        # self-loops; a parallel edge repeats a key, so only the first key and
-        # each one unlike the key before it are kept
+        # one key per entry, both directions and the self-loops: a parallel edge repeats one
         n, heads, tails = self.entity_count, self.quadruples[:, HEAD], self.quadruples[:, TAIL]
         keys = np.concatenate([heads * n + tails, tails * n + heads, np.arange(n) * (n + 1)])
-        keys.sort()
-        keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        keys %= n  # the column of each entry
-        return sp.csr_matrix((np.ones(len(keys)), keys, indptr), shape=(n, n))
+        indptr, columns, _ = sorted_key_csr(keys, n, n)
+        return sp.csr_matrix((np.ones(len(columns)), columns, indptr), shape=(n, n))
 
     @property
     def degree(self) -> np.ndarray:
@@ -113,6 +120,7 @@ class TemporalKG:
     def mean_operator(self) -> sp.csr_matrix:
         """Row-normalized adjacency D^-1 A: one application takes the mean
         over each entity's neighbor set (self included)."""
+        # not a key pass: the product's entry order in a row sets the bits of every forward sum
         return (sp.diags(1.0 / self.degree.astype(np.float64)) @ self.adjacency).tocsr()
 
     @cached_property
@@ -124,6 +132,7 @@ class TemporalKG:
         q = self.quadruples
         rows = np.concatenate([q[:, HEAD], q[:, TAIL]])
         incident = np.bincount(rows, minlength=self.entity_count)
+        # not a key pass: tocsr adds duplicate float entries in their order here
         return sp.coo_matrix(
             (1.0 / incident[rows], (rows, np.tile(q[:, RELATION], 2))),
             shape=(self.entity_count, self.relation_count),
@@ -141,6 +150,14 @@ def union_graph(kg1: TemporalKG, kg2: TemporalKG) -> TemporalKG:
         kg1.entity_count + kg2.entity_count,
         kg1.relation_count + kg2.relation_count,
     )
+
+
+def check_pair_ids(src: np.ndarray, tgt: np.ndarray, n_src: int, n_tgt: int, what: str) -> None:
+    """Raise ValueError naming the first pair outside [0, n_src) x [0, n_tgt)."""
+    bad = np.flatnonzero((src < 0) | (src >= n_src) | (tgt < 0) | (tgt >= n_tgt))
+    if len(bad):
+        raise ValueError(f"{what} pair ({src[bad[0]]}, {tgt[bad[0]]}) is outside "
+                         f"[0, {n_src}) x [0, {n_tgt})")
 
 
 VALID_PROVENANCE = ("gold", "pseudo", "generated", "prediction")

@@ -63,8 +63,7 @@ def _signature(quads, n) -> list[tuple]:
 
 def _random_quad(rng, h, params) -> tuple[int, int, int, str, str]:
     t = int(rng.integers(params.entities - 1))
-    if t >= h:
-        t += 1
+    t += t >= h  # skip past h: uniform over the other entities
     r = int(rng.integers(params.relations))
     if rng.random() < params.interval_fraction:
         a, b = sorted(rng.choice(params.timestamps, size=2, replace=False) + 1)
@@ -89,13 +88,9 @@ def make_benchmark(params: SynthParams) -> SyntheticDataset:
     if params.unique_times:
         for _ in range(100):
             sigs = _signature(quads1, params.entities)
-            seen: dict[tuple, int] = {}
-            dupes = []
-            for e, sig in enumerate(sigs):
-                if sig in seen:
-                    dupes.append(e)
-                else:
-                    seen[sig] = e
+            # every entity whose signature an earlier entity has
+            first: dict[tuple, int] = {}
+            dupes = [e for e, sig in enumerate(sigs) if first.setdefault(sig, e) != e]
             if not dupes:
                 break
             for e in dupes:
@@ -109,8 +104,7 @@ def make_benchmark(params: SynthParams) -> SyntheticDataset:
     for h, r, t, tb, te in quads1:
         if rng.random() < params.edge_noise:
             t = int(rng.integers(params.entities - 1))
-            if t >= h:
-                t += 1
+            t += t >= h
         if rng.random() < params.time_noise:
             tau = int(rng.integers(params.timestamps)) + 1
             tb = te = str(tau)
@@ -127,14 +121,9 @@ def make_benchmark(params: SynthParams) -> SyntheticDataset:
 def write_benchmark(ds: SyntheticDataset, out_dir: Path) -> DatasetLayout:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def dump_quads(quads, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for h, r, t, tb, te in quads:
-                f.write(f"{h}\t{r}\t{t}\t{tb}\t{te}\n")
-
-    dump_quads(ds.quads1, out_dir / "triples_1")
-    dump_quads(ds.quads2, out_dir / "triples_2")
+    for name, quads in (("triples_1", ds.quads1), ("triples_2", ds.quads2)):
+        (out_dir / name).write_text("".join(f"{h}\t{r}\t{t}\t{tb}\t{te}\n"
+                                            for h, r, t, tb, te in quads), encoding="utf-8")
     write_pairs(AlignmentPairSet.from_pairs(ds.sup_pairs), out_dir / "sup_pairs")
     write_pairs(AlignmentPairSet.from_pairs(ds.ref_pairs), out_dir / "ref_pairs")
     return DatasetLayout.from_dir(out_dir)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .kg import HEAD, TAIL, TIME_BEGIN, TIME_END, UNKNOWN_TIME_ID, TemporalKG
+from .kg import HEAD, TAIL, TIME_BEGIN, TIME_END, UNKNOWN_TIME_ID, TemporalKG, sorted_key_csr
 
 
 def build_time_dictionary(kg: TemporalKG) -> sp.csr_matrix:
@@ -30,29 +30,22 @@ def build_time_dictionary(kg: TemporalKG) -> sp.csr_matrix:
     and its tail. A point adds its id once, an interval both endpoints;
     reserved id 0 adds nothing."""
     q = kg.quadruples
-    begin, end = q[:, TIME_BEGIN], q[:, TIME_END]
-    stamps = np.concatenate([begin, np.where(begin == end, UNKNOWN_TIME_ID, end)])
-    rows = np.concatenate([q[:, HEAD], q[:, HEAD], q[:, TAIL], q[:, TAIL]])
-    cols = np.tile(stamps, 2)
-    known = cols != UNKNOWN_TIME_ID
     width = int(q[:, TIME_BEGIN:].max(initial=UNKNOWN_TIME_ID)) + 1
-    return sp.coo_matrix(
-        (np.ones(int(known.sum()), dtype=np.int64), (rows[known], cols[known])),
-        shape=(kg.entity_count, width),
-    ).tocsr()
+    begin, end = q[:, TIME_BEGIN], q[:, TIME_END]
+    end = np.where(begin == end, UNKNOWN_TIME_ID, end)  # a point adds its id once
+    # a key entity·width + stamp for each stamp of a fact, at its head and at its tail
+    keys = np.concatenate([q[:, e] * width + t for e in (HEAD, TAIL) for t in (begin, end)])
+    keys = keys[np.tile(np.concatenate([begin, end]) != UNKNOWN_TIME_ID, 2)]
+    indptr, columns, counts = sorted_key_csr(keys, kg.entity_count, width)
+    return sp.csr_matrix((counts, columns, indptr), shape=(kg.entity_count, width))
 
 
 def time_similarity(dic_i: Counter | Iterable[int], dic_j: Counter | Iterable[int]) -> float:
     """Matching degree 2c / (m + n) between two timestamp multisets; 0 when
     both are empty."""
-    a = dic_i if isinstance(dic_i, Counter) else Counter(dic_i)
-    b = dic_j if isinstance(dic_j, Counter) else Counter(dic_j)
-    m = sum(a.values())
-    n = sum(b.values())
-    if m + n == 0:
-        return 0.0
-    c = sum((a & b).values())
-    return 2.0 * c / (m + n)
+    a, b = Counter(dic_i), Counter(dic_j)
+    total = a.total() + b.total()
+    return 2.0 * (a & b).total() / total if total else 0.0
 
 
 # bytes of one dense float64 block of score rows: a pass over a score matrix
@@ -132,15 +125,14 @@ def entry_chunks(nnz: int) -> Iterator[tuple[int, int]]:
 
 def _occurrence_sets(counts: sp.csr_matrix, k: int, width: int) -> sp.csr_matrix:
     """0/1 rows over (timestamp, occurrence) columns: the multiset {t: a_t}
-    becomes the set {(t, 0), ..., (t, a_t - 1)}, column t*k + j."""
-    entries = counts.tocoo()
-    reps = entries.data
-    rows = np.repeat(entries.row, reps)
-    first = np.repeat(np.cumsum(reps) - reps, reps)
-    cols = np.repeat(entries.col.astype(np.int64) * k, reps) + np.arange(len(rows)) - first
-    return sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(counts.shape[0], width * k)
-    )
+    becomes the set {(t, 0), ..., (t, a_t - 1)}, column t*k + j. `counts` is
+    canonical, so these columns come out in CSR order."""
+    reps = counts.data
+    ends = np.cumsum(reps)
+    cols = np.repeat(counts.indices.astype(np.int64) * k, reps)
+    cols += np.arange(len(cols)) - np.repeat(ends - reps, reps)
+    indptr = np.concatenate([[0], ends])[counts.indptr]
+    return sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(counts.shape[0], width * k))
 
 
 def _score_product(occ1: sp.csr_matrix, occ2t: sp.csr_matrix, m_half: np.ndarray,

@@ -23,7 +23,7 @@ from .encoder import (
     forward_layers,
     make_dropout_mask,
 )
-from .kg import AlignmentPairSet, TemporalKG
+from .kg import AlignmentPairSet, TemporalKG, check_pair_ids
 
 
 @dataclass
@@ -135,6 +135,8 @@ def compute_gradients(
     # score each distinct positive pair once (`inv` maps triplets to it),
     # then every negative; pair k's difference is e(src_k) - e(tgt_k)
     n = union_kg.entity_count
+    for pairs in ((batch.pos_src, batch.pos_tgt), (batch.neg_src, batch.neg_tgt)):
+        check_pair_ids(*pairs, n, n, "batch")
     keys, inv = np.unique(batch.pos_src * n + batch.pos_tgt, return_inverse=True)
     src = np.concatenate([keys // n, batch.neg_src])
     tgt = np.concatenate([keys % n, batch.neg_tgt])

@@ -133,10 +133,11 @@ class TestEmbeddingSimilarity:
         sim = embedding_similarity(g1, g2, [0], [0, 1])
         assert not sim.dense.any()
 
-    @pytest.mark.parametrize("src,tgt", [([0, 3], [0]), ([-1], [0]), ([0], [2])])
+    @pytest.mark.parametrize("src,tgt", [([0, 3], [0]), ([-1], [0]), ([0], [2]), ([0], [-1])])
     def test_an_id_outside_its_graph_is_rejected_on_construction(self, src, tgt):
-        # the source rows are gathered only as blocks are read, so their
-        # ids are checked up front
+        # the source rows are gathered only as blocks are read, and a
+        # negative target id would read a row from the end: both are
+        # checked up front
         with pytest.raises(IndexError):
             embedding_similarity(np.ones((3, 2)), np.ones((2, 2)), src, tgt)
 
@@ -835,7 +836,29 @@ def run_iterate(tiny_benchmark, iterations, epochs=60, alpha=0.3):
     return iterate(state, kg1, kg2, seeds, enc, trn, aln, tm, references=refs), refs
 
 
+def iterate_with(layout, what, pair):
+    """`iterate` on the dataset at `layout`, `pair` added to its seeds or to
+    its references (`what`); training, if reached, fails the call."""
+    kg1, kg2, _, seeds, refs = load_dataset(layout)
+    pairs = {"seed": seeds, "reference": refs}
+    pairs[what] = pairs[what].extended(AlignmentPairSet.from_pairs([pair]))
+    tm = build_time_similarity_matrix(build_time_dictionary(kg1), build_time_dictionary(kg2))
+    enc = EncoderConfig(dim=8)
+    state = init_embeddings(enc, kg1.entity_count + kg2.entity_count,
+                            kg1.relation_count + kg2.relation_count)
+    with mock.patch.object(aligner, "train_on_union", side_effect=AssertionError("trained")):
+        iterate(state, kg1, kg2, pairs["seed"], enc, TrainConfig(epochs=1), AlignConfig(), tm,
+                references=pairs["reference"])
+
+
 class TestIterate:
+    @pytest.mark.parametrize("what", ["seed", "reference"])
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (60, 0), (0, 60)])
+    def test_an_id_outside_its_graph_is_rejected_before_training(self, tiny_layout, what, pair):
+        with pytest.raises(ValueError, match=rf"^{what} pair \({pair[0]}, {pair[1]}\) is "
+                                             r"outside \[0, 60\) x \[0, 60\)$"):
+            iterate_with(tiny_layout, what, pair)
+
     def test_single_iteration_equals_plain_training(self, tiny_benchmark):
         kg1, kg2, seeds, refs, tm = tiny_benchmark
         result, _ = run_iterate(tiny_benchmark, iterations=1)

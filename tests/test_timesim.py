@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tkgalign import timesim
 from tkgalign.aligner import combine, csls_rescale, predict
@@ -100,6 +100,64 @@ class TestDictionary:
             if head == 0 or tail == 0:
                 expected.update(stamps(begin, end))
         assert entry(dic, 0) == expected == Counter({5: 2, 7: 1})
+
+
+def coo_reference(data, rows, cols, shape):
+    """scipy's COO -> CSR construction of the given entries, duplicates summed."""
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def assert_same_csr(built, reference):
+    """data, indices and indptr equal byte for byte, in the same dtypes, and
+    both matrices equally canonical."""
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(built, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert built.shape == reference.shape
+    assert built.has_canonical_format == reference.has_canonical_format
+
+
+facts = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 4),
+                           st.integers(0, 4)), max_size=12)
+
+
+class TestKeyPassBuilders:
+    """The count matrix, the (timestamp, occurrence) sets and the adjacency,
+    each built from one sorted-key pass, equal scipy's COO -> CSR build of
+    the same entries."""
+
+    @given(facts, st.integers(0, 3), st.integers(0, 4), st.integers(0, 2))
+    @example([], 0, 0, 0)  # no facts
+    @example([(0, 1, 0, 0), (2, 2, 0, 0)], 1, 0, 0)  # only unknown stamps
+    @example([(0, 1, 3, 3)] * 3 + [(1, 0, 0, 2), (1, 2, 4, 0)], 2, 2, 1)  # counts of 5
+    def test_builders_equal_the_coo_build(self, quads, extra, repeats, k_extra):
+        # entities beyond the largest id have no facts; the first `repeats`
+        # facts occur twice
+        quads = quads + quads[:repeats]
+        n = 1 + max((max(h, t) for h, t, _, _ in quads), default=0) + extra
+        kg = TemporalKG.build([(h, 0, t, b, e) for h, t, b, e in quads], n, 1)
+
+        entries = [(x, s) for h, t, b, e in quads for x in (h, t) for s in stamps(b, e)]
+        width = 1 + max((max(b, e) for _, _, b, e in quads), default=0)
+        dic = build_time_dictionary(kg)
+        assert_same_csr(dic, coo_reference(np.ones(len(entries), dtype=np.int64),
+                                           [x for x, _ in entries], [s for _, s in entries],
+                                           (n, width)))
+
+        # canonical count rows, some empty, with counts of 1 to 5 and more
+        k = int(dic.data.max(initial=1)) + k_extra
+        sets = [(i, t * k + j) for i in range(n)
+                for t, a in zip(dic[i].indices.tolist(), dic[i].data.tolist()) for j in range(a)]
+        assert_same_csr(timesim._occurrence_sets(dic, k, width),
+                        coo_reference(np.ones(len(sets)), [i for i, _ in sets],
+                                      [c for _, c in sets], (n, width * k)))
+
+        # both directions and the self-loops; a parallel edge adds one entry
+        ends = [(h, t) for h, t, _, _ in quads] + [(t, h) for h, t, _, _ in quads]
+        adj = coo_reference(np.ones(len(ends) + n), [h for h, _ in ends] + list(range(n)),
+                            [t for _, t in ends] + list(range(n)), (n, n))
+        adj.data[:] = 1.0
+        assert_same_csr(kg.adjacency, adj)
 
 
 class TestSimilarity:
@@ -252,6 +310,19 @@ class TestMemory:
         built, peak = traced_peak(build_time_similarity_matrix, a, b)
         count_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (a, b))
         assert built.nbytes == count_bytes and peak < 2 * count_bytes
+
+    def test_dictionary_holds_little_beside_its_result(self):
+        # points and 20% intervals, a few with an open end: about 1.2 known
+        # stamps per fact, each keyed at the head and at the tail
+        rng = np.random.default_rng(0)
+        n, vocab = 4000, 500
+        begin = rng.integers(1, vocab, 8 * n)
+        end = np.where(rng.random(8 * n) < 0.2, rng.integers(0, vocab, 8 * n), begin)
+        heads, tails = rng.integers(0, n, (2, 8 * n))
+        kg = TemporalKG.build(np.column_stack([heads, 0 * heads, tails, begin, end]), n, 1)
+        dic, peak = traced_peak(build_time_dictionary, kg)
+        result = dic.data.nbytes + dic.indices.nbytes + dic.indptr.nbytes
+        assert peak - result < 2 * kg.quadruples.nbytes
 
     def test_kernel_holds_little_beside_the_whole_matrix(self):
         # the eager build's bound, kept by the kernel run over all rows at once

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,6 +574,37 @@ class TestGradients:
             fd = finite_difference(state, ukg, batch, enc, trn, mask, table)
             err = np.abs(grad - fd) / np.maximum(np.abs(grad) + np.abs(fd), 1e-3)
             assert err.max() <= 1e-3
+
+
+def expect_batch_rejected(field, value):
+    """compute_gradients on a batch whose first `field` id is `value` (the
+    union's size for None) raises ValueError naming that pair."""
+    state, ukg, batch, enc, trn, mask = random_instance(0)
+    ids = getattr(batch, field).copy()
+    ids[0] = ukg.entity_count if value is None else value
+    batch = dataclasses.replace(batch, **{field: ids})
+    side = field[:4]
+    pair = (getattr(batch, side + "src")[0], getattr(batch, side + "tgt")[0])
+    n = ukg.entity_count
+    with pytest.raises(ValueError, match=rf"^batch pair \({pair[0]}, {pair[1]}\) is outside "
+                                         rf"\[0, {n}\) x \[0, {n}\)$"):
+        compute_gradients(state, ukg, batch, enc, trn, mask)
+
+
+@pytest.mark.parametrize("field", ["pos_src", "pos_tgt", "neg_src", "neg_tgt"])
+@pytest.mark.parametrize("value", [-1, None])
+def test_a_batch_id_outside_the_union_is_rejected(field, value):
+    if value is None:
+        expect_batch_rejected(field, value)
+        return
+    # a negative id reaches scipy's product unchecked, which can corrupt
+    # the heap and abort the interpreter: run it in a fresh one
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    call = f"import test_trainer; test_trainer.expect_batch_rejected({field!r}, -1)"
+    proc = subprocess.run([sys.executable, "-c", call], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestOptimizer:
