@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kg import AlignmentPairSet
-from .timesim import ScoreRows, SimilarityMatrix, TimeScores, entry_chunks
+from .timesim import ScoreRows, SimilarityMatrix, TimeScores
 
 # a stored exact match is exactly 1.0 (2c = m + n, and x / x is exact); the
 # tolerance only serves hand-built score matrices
@@ -43,15 +43,10 @@ def generate_seeds(time_sim: ScoreRows) -> AlignmentPairSet:
 def _exact_scores(s: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) positions of the stored scores of 1 that are the only
     one in their row and in their column."""
-    # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset,
-    # taken a chunk of stored scores at a time, keeps the exact test from
-    # allocating anything as long as the stored scores
-    hits = [np.empty(0, dtype=np.intp)]
-    for lo, hi in entry_chunks(s.nnz):
-        x = s.data[lo:hi]
-        near = np.flatnonzero(x >= 1.0 - 2.0 * EXACT_MATCH_TOL)
-        hits.append(lo + near[np.abs(x[near] - 1.0) <= EXACT_MATCH_TOL])
-    hits = np.concatenate(hits)
+    # every |x - 1| <= tol has x >= 1 - 2*tol: this one-comparison superset
+    # keeps the exact test to the few near-exact scores
+    near = np.flatnonzero(s.data >= 1.0 - 2.0 * EXACT_MATCH_TOL)
+    hits = near[np.abs(s.data[near] - 1.0) <= EXACT_MATCH_TOL]
     rows = np.searchsorted(s.indptr, hits, side="right") - 1
     cols = s.indices[hits]
     unique = (np.bincount(rows, minlength=s.shape[0])[rows] == 1) & (

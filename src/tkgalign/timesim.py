@@ -112,17 +112,6 @@ class BlockedScores(ScoreRows):
     kind: str
 
 
-# stored entries of a score matrix that a pass over its values takes per
-# step, so no temporary grows with the stored entries
-_CHUNK_ENTRIES = 1 << 16
-
-
-def entry_chunks(nnz: int) -> Iterator[tuple[int, int]]:
-    """[lo, hi) bounds covering nnz stored entries, _CHUNK_ENTRIES at a time."""
-    for lo in range(0, nnz, _CHUNK_ENTRIES):
-        yield lo, min(lo + _CHUNK_ENTRIES, nnz)
-
-
 def _occurrence_sets(counts: sp.csr_matrix, k: int, width: int) -> sp.csr_matrix:
     """0/1 rows over (timestamp, occurrence) columns: the multiset {t: a_t}
     becomes the set {(t, 0), ..., (t, a_t - 1)}, column t*k + j. `counts` is
@@ -143,20 +132,16 @@ def _score_product(occ1: sp.csr_matrix, occ2t: sp.csr_matrix, m_half: np.ndarray
 
     The intersection size c = sum_t min(a_t, b_t) of every pair is one
     sparse product, and only pairs sharing a timestamp are stored. Each c is
-    then divided in place by (m + n) / 2, _CHUNK_ENTRIES stored entries at a
-    time. The columns within a row are left in the product's order."""
+    then divided in place by (m + n) / 2, all stored entries in one step: the
+    caller densifies the product's rows, so those dense rows already bound
+    this step's temporaries. The columns within a row are left in the
+    product's order."""
     scores = occ1 @ occ2t
     # c / ((m + n) / 2) rounds the same real number as 2c / (m + n): every
     # operand is an exact small integer or half of one
-    ptr = scores.indptr
-    for lo, hi in entry_chunks(scores.nnz):
-        # rows [first, last) hold entries [lo, hi); a row that a chunk bound
-        # cuts repeats its half sum only over its entries inside the chunk
-        first = np.searchsorted(ptr, lo, side="right") - 1
-        last = np.searchsorted(ptr, hi, side="left")
-        denom = np.take(n_half, scores.indices[lo:hi])
-        denom += np.repeat(m_half[first:last], np.diff(np.clip(ptr[first : last + 1], lo, hi)))
-        scores.data[lo:hi] /= denom
+    denom = n_half[scores.indices]
+    denom += np.repeat(m_half, np.diff(scores.indptr))
+    scores.data /= denom
     return scores
 
 

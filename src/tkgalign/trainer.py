@@ -351,9 +351,11 @@ def train_on_union(
     rng: np.random.Generator | None = None,
 ) -> list[float]:
     """Run the epoch loop on a prebuilt union graph; mutates `state` in place
-    and returns the loss trajectory."""
+    and returns the loss trajectory. Raises ValueError when a seed is not
+    in [0, kg_sizes[0]) x [0, kg_sizes[1])."""
     if len(seeds) == 0:
         raise ValueError("training needs at least one seed pair; generate seeds first")
+    check_pair_ids(seeds.sources, seeds.targets, *kg_sizes, "seed")
     if rng is None:
         rng = np.random.default_rng(train_config.rng_seed)
     opt = OptimizerState.zeros_like(state)
@@ -372,6 +374,8 @@ def train_on_union(
             state, union_kg, batch, enc_config, train_config, mask, layers_out=layers
         )
         optimizer_step(state, opt, g_ent, g_rel, train_config)
+        # consumed: the next epoch's gradients are not computed beside them
+        del g_ent, g_rel
         losses.append(loss)
     return losses
 

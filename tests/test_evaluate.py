@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tkgalign.aligner import predict_and_rank
-from tkgalign.evaluate import _row_ranks, evaluate, rank_of_truth
+from tkgalign.evaluate import RowRanks, _row_ranks, evaluate, rank_of_truth
 from tkgalign.kg import AlignmentPairSet
 from tkgalign.timesim import BlockedScores
 
@@ -211,3 +213,31 @@ class TestBlockedRanks:
             evaluate(matrix(np.eye(3)), AlignmentPairSet.from_pairs([(9, 0)]))
         with pytest.raises(ValueError, match="reference target 9"):
             predict_and_rank(matrix(np.eye(3)), AlignmentPairSet.from_pairs([(0, 0), (1, 9)]))
+
+    def test_ranks_read_the_block_in_place(self, monkeypatch):
+        """The row ranks of a 2000 x 2000 block with a reference in every row,
+        one source twice, and the column ranks of one more pass over it,
+        equal `rank_of_truth`. Neither pass holds a copy of the block: each
+        traced peak beyond the inputs stays under a quarter of its bytes."""
+        n = 2000
+        rng = np.random.default_rng(6)
+        s = rng.integers(0, 40, size=(n, n)) / 8  # few levels: ties in every row
+        targets = rng.permutation(n)
+        pairs = [(i, int(t)) for i, t in enumerate(targets)] + [(7, int(targets[8]))]
+        refs = AlignmentPairSet.from_pairs(pairs)
+        use_block_rows(monkeypatch, n, n)  # one block, read as a view of s
+        sim = BlockedScores(np.arange(n), np.arange(n), lambda start, stop: s[start:stop], "combined")
+        ranked = RowRanks(sim, refs)
+        peaks = []
+        for run in (lambda: ranked.update(0, s), lambda: ranked.with_columns(sim, True)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert ranked.truth.tolist() == [s[a, b] for a, b in pairs]
+        assert ranked.ranks.tolist() == [rank_of_truth(s[a], b) for a, b in pairs]
+        assert out[len(pairs):].tolist() == [rank_of_truth(s[:, b], a) for a, b in pairs]
+        assert max(peaks) < s.nbytes / 4, peaks

@@ -240,15 +240,23 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def scores_by_rows(sim, chunk):
+    """The whole time matrix as CSR, each `chunk` rows one `_score_product`
+    (None: all rows in one)."""
+    occ1, occ2t, m_half, n_half = sim._pool(sim.source_ids, sim.target_ids)
+    step = chunk or occ1.shape[0]
+    return sp.vstack([timesim._score_product(occ1[lo : lo + step], occ2t, m_half[lo : lo + step],
+                                             n_half) for lo in range(0, occ1.shape[0], step)],
+                     format="csr")
+
+
 class TestExactScores:
     """Every score of the kernel is bit for bit `time_similarity` of its two
     rows and the whole-array 2c / (m + n) with integer denominators,
-    whatever the number of entries it is finished in per step."""
+    whatever the number of rows one product holds."""
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
-    def test_stored_scores_equal_both_oracles(self, monkeypatch, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(timesim, "_CHUNK_ENTRIES", chunk)
+    def test_stored_scores_equal_both_oracles(self, chunk):
         rng = np.random.default_rng(3)
         cases = [
             (random_dict(rng, 30, max_stamps=8, vocab=6), random_dict(rng, 25, max_stamps=8, vocab=6)),
@@ -259,11 +267,12 @@ class TestExactScores:
             (random_dict(rng, 4), [Counter()] * 3),
             # no pair shares a timestamp: nothing is stored
             ([Counter([1, 2]), Counter([3])], [Counter([4]), Counter([5, 5])]),
-            long_row_case(timesim._CHUNK_ENTRIES + 2),
+            # 140,000 stored scores, all in one product when `chunk` is None
+            long_row_case(70_000),
         ]
         for d1, d2 in cases:
             a, b = counts(d1), counts(d2)
-            built = stored_scores(build_time_similarity_matrix(a, b))
+            built = scores_by_rows(build_time_similarity_matrix(a, b), chunk)
             width = max(a.shape[1], b.shape[1])
             a, b = (np.pad(x.toarray(), ((0, 0), (0, width - x.shape[1]))) for x in (a, b))
             c = np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2)
@@ -276,7 +285,7 @@ class TestExactScores:
             pairwise = lru_cache(maxsize=None)(lambda i, k: time_similarity(d1[i], Counter(dict(k))))
             oracle = [pairwise(i, key2[j]) for i, j in zip(stored.row.tolist(), stored.col.tolist())]
             assert np.array_equal(bits(stored.data), bits(oracle))
-        assert built.shape[0] == 3 and built.indptr[1] == timesim._CHUNK_ENTRIES + 2
+        assert built.shape[0] == 3 and built.indptr[1] == 70_000
 
 
 def random_pair(n=2500, vocab=16, seed=0):
@@ -324,12 +333,14 @@ class TestMemory:
         result = dic.data.nbytes + dic.indices.nbytes + dic.indptr.nbytes
         assert peak - result < 2 * kg.quadruples.nbytes
 
-    def test_kernel_holds_little_beside_the_whole_matrix(self):
-        # the eager build's bound, kept by the kernel run over all rows at once
+    def test_kernel_finishes_in_two_entry_arrays(self):
+        # run over all rows at once, the finish holds two float64 arrays as
+        # long as the stored scores beside the whole matrix, and little else
         sim = build_time_similarity_matrix(*random_pair())
         s, peak = traced_peak(stored_scores, sim)
         assert s.nnz > 5_000_000
-        assert peak - (s.data.nbytes + s.indices.nbytes + s.indptr.nbytes) < 3 << 20
+        result = s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
+        assert peak - result < 2 * s.data.nbytes + (1 << 20)
 
     def test_reading_rows_holds_their_product(self, monkeypatch):
         monkeypatch.setattr(timesim, "_BLOCK_BYTES", 1 << 20)
@@ -344,11 +355,13 @@ class TestMemory:
         seeds, peak = traced_peak(generate_seeds, sim)
         assert len(seeds) and peak < 512 << 10
 
-    def test_stored_score_scan_holds_little(self):
+    def test_stored_score_scan_holds_a_byte_per_score(self):
+        # one bool per stored score, and no float copy of the scores
         tm = build_time_similarity_matrix(*random_pair())
         sim = SimilarityMatrix(tm.source_ids, tm.target_ids, stored_scores(tm), "time")
         seeds, peak = traced_peak(generate_seeds, sim)
-        assert seeds.pairs == generate_seeds(tm).pairs and peak < 512 << 10
+        assert seeds.pairs == generate_seeds(tm).pairs
+        assert peak < sim.scores.nnz + (512 << 10)
 
 
 class TestTimeRows:

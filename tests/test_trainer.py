@@ -721,6 +721,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="seed"):
             train(state, kg1, kg2, AlignmentPairSet.from_pairs([]), enc, TrainConfig())
 
+    @pytest.mark.parametrize("pair", [(60, 0), (0, 60), (-1, 0)], ids=["source", "target", "negative"])
+    def test_seed_outside_its_graph_rejected(self, pair):
+        # (60, 0) would pass as union id 60, entity 0 of the second graph
+        ukg = random_union(60, seed=0)
+        enc = EncoderConfig(dim=4, init_seed=0)
+        state = init_embeddings(enc, 120, 8)
+        before = state.copy()
+        seeds = AlignmentPairSet.from_pairs([(1, 1), pair])
+        with pytest.raises(ValueError, match=r"seed pair \(-?\d+, \d+\) is outside \[0, 60\) x \[0, 60\)"):
+            train_on_union(state, ukg, (60, 60), seeds, enc, TrainConfig(epochs=2))
+        assert np.array_equal(state.entity_table, before.entity_table)
+
     def test_zero_epochs_leaves_state_unchanged(self):
         kg1, kg2 = toy_pair()
         enc = EncoderConfig(dim=2, init_seed=0)
@@ -789,6 +801,26 @@ class TestTrain:
                 tracemalloc.stop()
         layer_buffer = 2 * n * 2 * enc.dim * enc.layers * 8
         assert peaks[0] <= peaks[1] - layer_buffer, peaks
+
+    def test_epochs_hold_one_entity_gradient(self):
+        # an epoch's gradients are dropped once applied, so later epochs
+        # peak where the first does, not one |E| x d array above it
+        n = 1000
+        ukg = random_union(n, seed=0)
+        ukg.mean_operator, ukg.relation_operator  # cached by the first epoch otherwise
+        enc = EncoderConfig(dim=32, layers=2, init_seed=0)
+        seeds = AlignmentPairSet.from_pairs([(i, i) for i in range(300)])
+        peaks = []
+        for epochs in (1, 3):
+            state = init_embeddings(enc, 2 * n, 16)
+            tracemalloc.start()
+            try:
+                train_on_union(state, ukg, (n, n), seeds, enc, TrainConfig(epochs=epochs, rng_seed=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        gradient = 2 * n * enc.dim * 8
+        assert peaks[1] - peaks[0] < gradient / 2, peaks
 
     def test_parameter_count(self):
         kg1, kg2 = toy_pair()
