@@ -11,7 +11,6 @@ from .aligner import (
     IterationResult,
     combine,
     csls_rescale,
-    embedding_similarity,
     iterate,
     mutual_nearest_pairs,
     predict,

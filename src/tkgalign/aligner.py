@@ -4,9 +4,10 @@ bootstrapped iterative loop that grows the training pool with mutually
 nearest pseudo pairs.
 
 Every score stage is read a block of source rows at a time (`row_blocks`),
-and each consumer reduces the blocks as they come, so no stage holds a
-pool x pool matrix. The embedding product of the next block runs on one
-helper thread while the caller reduces the current one. `csls_rescale`'s
+and each consumer reduces the blocks as they come and drops each before
+asking for the next, so no stage holds a pool x pool matrix. The embedding
+product of the next block runs on one helper thread while the caller
+reduces the current one, so a pass holds two blocks. `csls_rescale`'s
 pass keeps each row's k best cells and each column's two best; the
 decoders answer every row that a bound proves from them, and read again
 only the blocks that hold another row (`_row_bests`)."""
@@ -42,11 +43,16 @@ class AlignConfig:
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """Each row of the float64 array `x` divided by its L2 norm, in place;
-    a row of norm 0 (or NaN) becomes 0. Returns `x`."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    ok = norms > 0
-    np.divide(x, norms, out=x, where=ok)
-    x[~ok[:, 0]] = 0.0
+    a row of norm 0 (or NaN) becomes 0. Returns `x`. It runs a row block at
+    a time, so its temporaries (the squares that sum to the norms) stay one
+    row block; a row's norm does not depend on its block."""
+    step = block_rows(max(x.shape[1], 1))
+    for lo in range(0, len(x), step):
+        rows = x[lo : lo + step]
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        ok = norms > 0
+        np.divide(rows, norms, out=rows, where=ok)
+        rows[~ok[:, 0]] = 0.0
     return x
 
 
@@ -68,64 +74,55 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _ReadAhead:
-    """`rows(start, stop)` of the cosine scores, a[start:stop] @ b.T, where
-    a holds the normalized rows `src` of `g` and b is normalized already.
+    """`rows(start, stop)` of the cosine scores a[start:stop] @ b.T, for
+    row-normalized a and b.
 
-    Every product runs on the helper thread, into a buffer allocated by the
-    caller. Serving [start, stop) hands the helper the next block of the same
-    height, which it computes while the caller reduces this one; the last
-    block reads nothing ahead. A request for any other block waits out the
-    product in flight and discards it, with any error it raised, then
-    submits its own. A block's rows of a are gathered and normalized when
-    its product is submitted, into one of two buffers kept for the life of
-    the instance: the one that no product in flight reads. One thread
-    reads a given instance."""
+    Every product runs on the helper thread, reading its rows of a and b in
+    place, into a buffer allocated by the caller. Serving [start, stop)
+    hands the helper the next block of the same height, which it computes
+    while the caller reduces this one; the last block reads nothing ahead.
+    A request for any other block waits out the product in flight and
+    discards it, with any error it raised, then submits its own. So a reader
+    that drops each block before asking for the next holds at most two: the
+    one it reduces and the one in flight. One thread reads a given
+    instance."""
 
-    def __init__(self, g: np.ndarray, src: np.ndarray, b: np.ndarray) -> None:
-        self.g, self.src, self.b = g, src, b
-        self.operands: list[np.ndarray | None] = [None, None]
-        self.ahead: tuple[int, int, int, Future] | None = None
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        self.a, self.b = a, b
+        self.ahead: tuple[int, int, Future] | None = None
 
-    def _submit(self, start: int, stop: int, slot: int) -> tuple[int, int, int, Future]:
-        buf = self.operands[slot]
-        if buf is None or len(buf) < stop - start:
-            buf = self.operands[slot] = np.empty((stop - start, self.g.shape[1]))
-        # ids are in range (checked on construction), so "clip" only makes
-        # take write `out` directly
-        a = np.take(self.g, self.src[start:stop], axis=0, out=buf[: stop - start], mode="clip")
+    def _submit(self, start: int, stop: int) -> tuple[int, int, Future]:
         out = np.empty((stop - start, len(self.b)))
-        return start, stop, slot, _HELPER.submit(_product, _normalize_rows(a), self.b, out)
+        return start, stop, _HELPER.submit(_product, self.a[start:stop], self.b, out)
 
     def __call__(self, start: int, stop: int) -> np.ndarray:
         ahead, self.ahead = self.ahead, None
         if ahead is None or ahead[:2] != (start, stop):
             if ahead is not None:
-                wait([ahead[3]])
-            ahead = self._submit(start, stop, 0)  # nothing is in flight
-        if start < stop < len(self.src):
-            self.ahead = self._submit(stop, min(2 * stop - start, len(self.src)), 1 - ahead[2])
-        return ahead[3].result()
+                wait([ahead[2]])
+            ahead = self._submit(start, stop)  # nothing is in flight
+        if start < stop < len(self.a):
+            self.ahead = self._submit(stop, min(2 * stop - start, len(self.a)))
+        return ahead[2].result()
 
 
 def embedding_similarity(
-    global1: np.ndarray,
-    global2: np.ndarray,
-    source_ids: Sequence[int],
-    target_ids: Sequence[int],
+    pool: np.ndarray, source_ids: Sequence[int], target_ids: Sequence[int]
 ) -> BlockedScores:
-    """Cosine similarity between selected rows of the two graphs' embedding
-    matrices. Zero-norm rows yield all-zero similarities. The target rows
-    are normalized once; each block's source rows, and its product, are
-    computed ahead of the reader (`_ReadAhead`), so `global1` must not
-    change while the scores are read."""
+    """Cosine similarity between the source and the target embedding rows
+    of a pool. `pool` holds the rows of `source_ids`, then those of
+    `target_ids`; the scores take it over, normalizing its rows in place
+    (a float64 C-contiguous array is not copied). Zero-norm rows yield
+    all-zero similarities. Each block's product is computed ahead of the
+    reader (`_ReadAhead`) from slices of the pool. Raises ValueError when
+    the pool's row count is not that of the ids."""
     src = np.asarray(source_ids, dtype=np.int64)
     tgt = np.asarray(target_ids, dtype=np.int64)
-    g1 = np.ascontiguousarray(global1, dtype=np.float64)
-    for name, ids, n in (("source", src, len(g1)), ("target", tgt, len(global2))):
-        if len(ids) and not (ids.min() >= 0 and ids.max() < n):
-            raise IndexError(f"{name} ids must be in [0, {n})")
-    b = _normalize_rows(np.asarray(global2, dtype=np.float64)[tgt])
-    return BlockedScores(src, tgt, _ReadAhead(g1, src, b), "embedding")
+    if len(pool) != len(src) + len(tgt):
+        raise ValueError(f"the pool holds {len(pool)} rows for {len(src)} sources "
+                         f"and {len(tgt)} targets")
+    pool = _normalize_rows(np.ascontiguousarray(pool, dtype=np.float64))
+    return BlockedScores(src, tgt, _ReadAhead(pool[: len(src)], pool[len(src) :]), "embedding")
 
 
 # rows of time scores densified at a time to be mixed into an embedding block
@@ -257,6 +254,7 @@ def csls_rescale(sim: ScoreRows, k: int) -> CSLSScores:
         s -= r_src[rows, None]
         _merge_column_tops(col_best, s)
         candidate_scores[rows] = np.take_along_axis(s, top, axis=1)
+        del s  # before the next block is asked for: two blocks, not three
     r_tgt = np.sort(col_top, axis=1).mean(axis=1)
     col_best.sort(axis=1)
 
@@ -308,6 +306,7 @@ def _row_bests(sim: ScoreRows, ranked: RowRanks | None = None) -> tuple[np.ndarr
         unique[rows] = np.count_nonzero(s == top[rows, None], axis=1) == 1
         if ranked is not None:
             ranked.update(start, s)
+        del s
     return best, top, unique
 
 
@@ -345,6 +344,7 @@ def mutual_nearest_pairs(sim: ScoreRows) -> AlignmentPairSet:
         col_top = np.full((n_tgt, 2), -np.inf)
         for _, s in sim.row_blocks():
             _merge_column_tops(col_top, s)
+            del s
         col_second, col_max = np.sort(col_top, axis=1).T
     row_best, row_max, row_unique = _row_bests(sim)
     i = np.flatnonzero(row_unique)
@@ -366,16 +366,26 @@ class IterationResult:
 
 
 def _scored_similarity(
-    g: np.ndarray,
+    state: EmbeddingState,
+    union: TemporalKG,
+    enc_config: EncoderConfig,
     n1: int,
     align_config: AlignConfig,
     time_matrix: TimeScores,
     source_ids: np.ndarray,
     target_ids: np.ndarray,
 ) -> BlockedScores:
-    """Combined + CSLS-rescaled similarity of the union embedding `g`,
-    restricted to the given pools."""
-    emb = embedding_similarity(g[:n1], g[n1:], source_ids, target_ids)
+    """Combined + CSLS-rescaled similarity of the current embedding on the
+    union graph (G1's entities first, `n1` of them), restricted to the given
+    pools. The forward pass computes the pool's rows alone, sources then
+    targets, and the scores take them over. Raises IndexError for an id
+    outside its graph, which would read another entity's row."""
+    for name, ids, n in (("source", source_ids, n1), ("target", target_ids,
+                                                      union.entity_count - n1)):
+        if len(ids) and not (ids.min() >= 0 and ids.max() < n):
+            raise IndexError(f"{name} ids must be in [0, {n})")
+    pool = forward(state, union, enc_config, rows=np.concatenate([source_ids, n1 + target_ids]))
+    emb = embedding_similarity(pool, source_ids, target_ids)
     mixed = combine(emb, time_matrix.submatrix(source_ids, target_ids), align_config.alpha)
     return csls_rescale(mixed, align_config.csls_k)
 
@@ -421,7 +431,6 @@ def iterate(
     losses: list[float] = []
 
     for it in range(1, align_config.iterations + 1):
-        g = None  # the union embedding of the current tables, once scoring computes it
         losses += train_on_union(
             state, union, (n1, kg2.entity_count), pool, enc_config, train_config, rng
         )
@@ -434,12 +443,11 @@ def iterate(
         rest_tgt = np.setdiff1d(np.arange(kg2.entity_count), pool.targets)
         added = 0
         if len(rest_src) and len(rest_tgt):
-            g = forward(state, union, enc_config)
             # the scores are dropped with the call, not kept through the
             # next training run or the final scoring
-            pseudo = mutual_nearest_pairs(
-                _scored_similarity(g, n1, align_config, time_matrix, rest_src, rest_tgt)
-            )
+            pseudo = mutual_nearest_pairs(_scored_similarity(
+                state, union, enc_config, n1, align_config, time_matrix, rest_src, rest_tgt
+            ))
             added = len(pseudo)
             if added:
                 pool = pool.extended(pseudo)
@@ -457,9 +465,9 @@ def iterate(
     similarity = ranked = None
     predictions = AlignmentPairSet([], [], "prediction")
     if len(pred_src) and len(pred_tgt):
-        # the last iteration's embedding, unless it scored nothing
-        g = forward(state, union, enc_config) if g is None else g
-        similarity = _scored_similarity(g, n1, align_config, time_matrix, pred_src, pred_tgt)
+        similarity = _scored_similarity(
+            state, union, enc_config, n1, align_config, time_matrix, pred_src, pred_tgt
+        )
         if has_refs:
             predictions, ranked = predict_and_rank(similarity, references)
         else:

@@ -9,6 +9,7 @@ concatenates all layers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -157,6 +158,52 @@ def _rows_only(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((kept.data, kept.indices, indptr), shape=op.shape)
 
 
+def _layer_halves(
+    state: EmbeddingState,
+    kg: TemporalKG,
+    config: EncoderConfig,
+    dropout_mask: DropoutMask | None,
+    rows: np.ndarray | None,
+    compact: bool,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(layer, first column, output) of each d-wide half of every layer, in
+    the order they are computed. The fused layer is (optionally) masked;
+    each deeper one is the rectified mean over the previous layer. With
+    `rows` the last layer is computed at those entities only: as their rows
+    alone, in the order of `rows`, under `compact`, or else at full height
+    and 0 elsewhere (`rows` sorted and distinct). A row computed either way
+    holds the same sums as the full product's."""
+    d = state.dim
+    last = config.layers - 1
+
+    # the operator of a layer, at `rows` only in the last one; built for each
+    # product and dropped with it, since one kept live across the |E| x d
+    # products fragments the heap (about 3 MiB more RSS at 16000 entities)
+    def at(op: sp.csr_matrix, layer: int) -> sp.csr_matrix:
+        if rows is None or layer < last:
+            return op
+        return op[rows] if compact else _rows_only(op, rows)
+
+    # Aggregation is column-wise, so each d-wide half of a layer comes from
+    # the same half of the previous layer. Each half is one chain of
+    # products, each fed the contiguous array the previous one returned, so
+    # at most two |E| x d arrays are live.
+    for half in (0, d):
+        if half and not config.ablate_relation_fusion:
+            h = at(kg.relation_operator, 0) @ state.relation_table
+        else:
+            h = at(kg.mean_operator, 0) @ state.entity_table
+        if dropout_mask is not None:
+            keep = dropout_mask.keep[:, half : half + d]
+            h *= keep[rows] if compact and last == 0 else keep
+            h *= dropout_mask.scale
+        yield 0, half, h
+        for l in range(1, config.layers):
+            h = at(kg.mean_operator, l) @ h
+            np.maximum(h, 0.0, out=h)
+            yield l, 2 * d * l + half, h
+
+
 def forward_layers(
     state: EmbeddingState,
     kg: TemporalKG,
@@ -172,33 +219,10 @@ def forward_layers(
     fused features only. With `rows` (sorted entity ids) the last layer is
     computed at those entities only and is 0 elsewhere."""
     d = state.dim
-    width = 2 * d
-    out = np.empty((kg.entity_count, width * config.layers)) if out is None else out
-    last = config.layers - 1
-
-    # the operator of a layer, at `rows` only in the last one; built for each
-    # product and dropped with it, since one kept live across the |E| x d
-    # products fragments the heap (about 3 MiB more RSS at 16000 entities)
-    def at(op: sp.csr_matrix, layer: int) -> sp.csr_matrix:
-        return op if rows is None or layer < last else _rows_only(op, rows)
-
-    # Aggregation is column-wise, so each d-wide half of a layer comes from
-    # the same half of the previous layer. Each half is one chain of
-    # products, each fed the contiguous array the previous one returned and
-    # copied once into its columns, so at most two |E| x d arrays are live.
-    for half in (0, d):
-        if half and not config.ablate_relation_fusion:
-            h = at(kg.relation_operator, 0) @ state.relation_table
-        else:
-            h = at(kg.mean_operator, 0) @ state.entity_table
-        if dropout_mask is not None:
-            h *= dropout_mask.keep[:, half : half + d]
-            h *= dropout_mask.scale
-        out[:, half : half + d] = h
-        for l in range(1, config.layers):
-            h = at(kg.mean_operator, l) @ h
-            np.maximum(h, 0.0, out=h)
-            out[:, l * width + half : l * width + half + d] = h
+    out = np.empty((kg.entity_count, 2 * d * config.layers)) if out is None else out
+    # each output is copied once into its columns
+    for _, col, h in _layer_halves(state, kg, config, dropout_mask, rows, compact=False):
+        out[:, col : col + d] = h
     return out
 
 
@@ -207,8 +231,27 @@ def forward(
     kg: TemporalKG,
     config: EncoderConfig,
     dropout_mask: DropoutMask | None = None,
+    *,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full forward pass: entity_count x 2*d*layers matrix (or x 2d under
-    ablate_global_concat, the last layer's columns of `forward_layers`)."""
-    layers = forward_layers(state, kg, config, dropout_mask)
-    return layers[:, -2 * state.dim :] if config.ablate_global_concat else layers
+    ablate_global_concat, the last layer's columns of `forward_layers`).
+
+    With `rows` (entity ids, in any order), a new array of those rows only,
+    in that order, bit for bit the full pass's rows: every layer but the
+    last is computed at every entity and written at `rows` only, and the
+    last comes from the operator's rows at `rows`. Raises IndexError for an
+    id outside the graph."""
+    if rows is None:
+        layers = forward_layers(state, kg, config, dropout_mask)
+        return layers[:, -2 * state.dim :] if config.ablate_global_concat else layers
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) and not (rows.min() >= 0 and rows.max() < kg.entity_count):
+        raise IndexError(f"rows must be entity ids in [0, {kg.entity_count})")
+    d, last = state.dim, config.layers - 1
+    skip = 2 * d * last if config.ablate_global_concat else 0  # columns left out
+    out = np.empty((len(rows), 2 * d * config.layers - skip))
+    for l, col, h in _layer_halves(state, kg, config, dropout_mask, rows, compact=True):
+        if col >= skip:
+            out[:, col - skip : col - skip + d] = h if l == last else h[rows]
+    return out

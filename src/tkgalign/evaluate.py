@@ -122,6 +122,7 @@ class RowRanks:
                 rows = s[at : at + len(scratch)]
                 chunk = np.take(rows, self.cols, axis=1, out=scratch[: len(rows)], mode="clip")
                 back += (chunk >= self.truth).sum(axis=0)
+            del s, rows  # the block, and its view, before the next is asked for
         return np.concatenate([self.ranks, back])
 
 
@@ -129,6 +130,7 @@ def _row_ranks(sim: ScoreRows, references: AlignmentPairSet) -> RowRanks:
     ranked = RowRanks(sim, references)
     for start, s in sim.row_blocks():
         ranked.update(start, s)
+        del s
     return ranked
 
 

@@ -82,6 +82,7 @@ class ScoreRows:
         out = np.empty(self.shape)
         for start, block in self.row_blocks():
             out[start : start + len(block)] = block
+            del block
         return out
 
 

@@ -29,7 +29,7 @@ from tkgalign.encoder import EncoderConfig, forward, init_embeddings
 from tkgalign.cli import run_alignment
 from tkgalign.evaluate import RowRanks, _row_ranks, evaluate, rank_of_truth
 from tkgalign.io import load_dataset
-from tkgalign.kg import AlignmentPairSet, union_graph
+from tkgalign.kg import AlignmentPairSet, TemporalKG, union_graph
 from tkgalign.synth import SynthParams, make_benchmark, write_benchmark
 from tkgalign.timesim import (
     BlockedScores,
@@ -37,7 +37,7 @@ from tkgalign.timesim import (
     build_time_dictionary,
     build_time_similarity_matrix,
 )
-from tkgalign.trainer import TrainConfig
+from tkgalign.trainer import TrainConfig, train_on_union
 
 from test_trainer import train
 
@@ -118,11 +118,18 @@ def naive_csls(s, k):
     return 2 * s - r_src[:, None] - r_tgt[None, :]
 
 
+def pool_similarity(g1, g2, source_ids, target_ids):
+    """`embedding_similarity` of rows `source_ids` of g1 and `target_ids` of
+    g2: the pool array the forward pass gives for them, sources first."""
+    pool = np.vstack([g1[np.asarray(source_ids)], g2[np.asarray(target_ids)]])
+    return embedding_similarity(pool, source_ids, target_ids)
+
+
 class TestEmbeddingSimilarity:
     def test_identical_and_orthogonal(self):
         g1 = np.array([[1.0, 0.0], [0.0, 2.0]])
         g2 = np.array([[2.0, 0.0], [0.0, 1.0]])
-        sim = embedding_similarity(g1, g2, [0, 1], [0, 1])
+        sim = pool_similarity(g1, g2, [0, 1], [0, 1])
         assert sim.dense[0, 0] == pytest.approx(1.0)
         assert sim.dense[0, 1] == pytest.approx(0.0)
         assert sim.dense[1, 1] == pytest.approx(1.0)
@@ -130,21 +137,30 @@ class TestEmbeddingSimilarity:
     def test_zero_norm_row(self):
         g1 = np.zeros((1, 3))
         g2 = np.ones((2, 3))
-        sim = embedding_similarity(g1, g2, [0], [0, 1])
+        sim = pool_similarity(g1, g2, [0], [0, 1])
         assert not sim.dense.any()
 
     @pytest.mark.parametrize("src,tgt", [([0, 3], [0]), ([-1], [0]), ([0], [2]), ([0], [-1])])
     def test_an_id_outside_its_graph_is_rejected_on_construction(self, src, tgt):
-        # the source rows are gathered only as blocks are read, and a
-        # negative target id would read a row from the end: both are
-        # checked up front
-        with pytest.raises(IndexError):
-            embedding_similarity(np.ones((3, 2)), np.ones((2, 2)), src, tgt)
+        # a pool's rows are union ids, so a source id past G1 would read a
+        # row of G2 and a negative id one from the end: both sides are
+        # checked against their own graph before the forward pass
+        kg1 = TemporalKG.build([[0, 0, 1, 1, 1], [1, 0, 2, 1, 1]], 3, 1)
+        kg2 = TemporalKG.build([[0, 0, 1, 1, 1]], 2, 1)
+        enc = EncoderConfig(dim=2)
+        state = init_embeddings(enc, 5, 2)
+        with pytest.raises(IndexError, match="source" if src != [0] else "target"):
+            _scored_similarity(state, union_graph(kg1, kg2), enc, 3, AlignConfig(), None,
+                               np.array(src), np.array(tgt))
+
+    def test_a_pool_of_other_rows_than_its_ids_is_rejected(self):
+        with pytest.raises(ValueError, match="3 rows for 1 sources and 1 targets"):
+            embedding_similarity(np.ones((3, 2)), [0], [0])
 
     def test_matches_double_loop_cosine_oracle(self):
         rng = np.random.default_rng(0)
         g1, g2 = rng.normal(size=(2, 20, 6))
-        sim = embedding_similarity(g1, g2, range(20), range(20))
+        sim = pool_similarity(g1, g2, range(20), range(20))
         for i in range(20):
             for j in range(20):
                 expected = g1[i] @ g2[j] / (np.linalg.norm(g1[i]) * np.linalg.norm(g2[j]))
@@ -156,7 +172,7 @@ def cosine_pool(shape, seed=0):
     rows whose product each block must equal."""
     rng = np.random.default_rng(seed)
     g1, g2 = rng.normal(size=(shape[0], 6)), rng.normal(size=(shape[1], 6))
-    sim = embedding_similarity(g1, g2, range(shape[0]), range(shape[1]))
+    sim = pool_similarity(g1, g2, range(shape[0]), range(shape[1]))
     return sim, _normalize_rows(g1.copy()), _normalize_rows(g2.copy())
 
 
@@ -459,7 +475,7 @@ class TestBlockedScoring:
     def test_pipeline_matches_dense_oracle(self, monkeypatch, block, k, shape, alpha):
         g1, g2, src, tgt, tim = random_pool(shape, seed=shape[0] + k)
         use_block_rows(monkeypatch, block, shape[1])
-        emb = embedding_similarity(g1, g2, src, tgt)
+        emb = pool_similarity(g1, g2, src, tgt)
         sim = csls_rescale(combine(emb, tim, alpha), k)
 
         a = g1[src] / np.maximum(np.linalg.norm(g1[src], axis=1, keepdims=True), 1e-300)
@@ -589,9 +605,10 @@ class TestBlockedScoring:
         t = sp.random(n, n, density=0.01, format="csr", random_state=0)
         tim = SimilarityMatrix(np.arange(n), np.arange(n), t, "time")
         refs = AlignmentPairSet.from_pairs([(i, i) for i in range(n)])
+        pool = np.vstack([g1, g2])
         tracemalloc.start()
         try:
-            sim = csls_rescale(combine(embedding_similarity(g1, g2, range(n), range(n)), tim, 0.3), 10)
+            sim = csls_rescale(combine(embedding_similarity(pool, range(n), range(n)), tim, 0.3), 10)
             predict(sim)
             mutual_nearest_pairs(sim)
             evaluate(sim, refs, bidirectional=True)
@@ -599,6 +616,40 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_each_pass_holds_its_pool_and_two_blocks(self, monkeypatch):
+        """A pass over a pool of four blocks holds the pool array, the block
+        it reduces and the block in flight, and little else: every consumer
+        drops its block before asking for the next, and the products read
+        the pool in place. A third block would break the bound."""
+        n_src, n_tgt = 1024, 2048
+        block = 4 << 20  # 256 rows of 2048 scores
+        monkeypatch.setattr(timesim, "_BLOCK_BYTES", block)
+        refs = AlignmentPairSet.from_pairs([(i, 2 * i) for i in range(n_src)])
+        rng = np.random.default_rng(0)
+        peaks = {}
+
+        def measured(name, fn, *args, **kwargs):
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            return result
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pool = rng.normal(size=(n_src + n_tgt, 8))
+            emb = measured("embedding_similarity", embedding_similarity,
+                           pool, range(n_src), range(n_tgt))
+            measured("plain mutual_nearest_pairs", mutual_nearest_pairs, emb)
+            sim = measured("csls_rescale", csls_rescale, emb, 1)  # k = 1 settles no row
+            measured("predict_and_rank", predict_and_rank, sim, refs)
+            measured("mutual_nearest_pairs", mutual_nearest_pairs, sim)
+            measured("evaluate", evaluate, sim, refs, bidirectional=True)
+        finally:
+            tracemalloc.stop()
+        limit = pool.nbytes + 2.5 * block
+        assert {name: peak for name, peak in peaks.items() if peak > limit} == {}, limit
 
 
 def counted(scores, **ids):
@@ -894,27 +945,43 @@ class TestIterate:
         assert np.array_equal(result.reference_ranks.ranks, _row_ranks(result.similarity, refs).ranks)
 
     @pytest.mark.parametrize("iterations", [1, 3])
-    def test_final_pass_reuses_the_last_embedding(self, tiny_benchmark, monkeypatch, iterations):
-        calls = []
-        monkeypatch.setattr(aligner, "forward", lambda *a: calls.append(1) or forward(*a))
+    def test_each_scoring_call_runs_one_forward(self, tiny_benchmark, monkeypatch, iterations):
+        """Each scoring call computes its pool's rows with its own forward
+        pass, and the final scores equal, bit for bit, those built from the
+        rows of a full forward pass."""
+        calls, scored, pools = [], [], []
+        monkeypatch.setattr(aligner, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        monkeypatch.setattr(aligner, "_scored_similarity",
+                            lambda *a: scored.append(1) or _scored_similarity(*a))
+        monkeypatch.setattr(aligner, "train_on_union",
+                            lambda *a: pools.append(a[3]) or train_on_union(*a))
         result, refs = run_iterate(tiny_benchmark, iterations=iterations)
-        assert len(calls) == iterations
-        kg1, _, _, _, tm = tiny_benchmark
-        g = forward(result.state, union_graph(*tiny_benchmark[:2]), EncoderConfig(dim=16, layers=2))
-        expected = _scored_similarity(g, kg1.entity_count, AlignConfig(alpha=0.3), tm,
-                                      np.unique(refs.sources), np.unique(refs.targets))
-        assert np.array_equal(result.similarity.rows(0, expected.shape[0]),
-                              expected.rows(0, expected.shape[0]))
+        kg1, kg2, _, _, tm = tiny_benchmark
+        # an iteration scores when the pool it trained on leaves an entity
+        # out on both sides; the final call always scores
+        leaves_out = [len(np.setdiff1d(np.arange(kg1.entity_count), p.sources)) > 0
+                      and len(np.setdiff1d(np.arange(kg2.entity_count), p.targets)) > 0
+                      for p in pools]
+        assert len(pools) == iterations and sum(leaves_out) >= 1
+        assert len(calls) == len(scored) == sum(leaves_out) + 1
+        g = forward(result.state, union_graph(kg1, kg2), EncoderConfig(dim=16, layers=2))
+        n1, src, tgt = kg1.entity_count, np.unique(refs.sources), np.unique(refs.targets)
+        cfg = AlignConfig(alpha=0.3)
+        expected = csls_rescale(
+            combine(pool_similarity(g[:n1], g[n1:], src, tgt), tm.submatrix(src, tgt), cfg.alpha),
+            cfg.csls_k,
+        )
+        assert np.array_equal(result.similarity.rows(0, len(src)), expected.rows(0, len(src)))
 
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_no_earlier_scores_alive_when_training_or_scoring_starts(
         self, tiny_benchmark, monkeypatch, iterations
     ):
-        """A pseudo-pair call's CSLS scores, its read-ahead and every
-        operand and output array of its products are freed with the call:
-        none is alive when the next training run or scoring call starts,
-        the final one included. Checked by reference count alone, with no
-        collection."""
+        """A pseudo-pair call's CSLS scores, its read-ahead, its pool array
+        (which every product reads) and every output array of its products
+        are freed with the call: none is alive when the next training run or
+        scoring call starts, the final one included. Checked by reference
+        count alone, with no collection."""
         earlier, alive_at = [], []
 
         def owner(x):
@@ -931,15 +998,16 @@ class TestIterate:
 
         for name, track in (
             ("train_on_union", lambda args, result: ()),
-            ("embedding_similarity", lambda args, emb: (emb.rows,)),  # the read-ahead
+            # the read-ahead and the pool array
+            ("embedding_similarity", lambda args, emb: (emb.rows, args[0])),
             ("_scored_similarity", lambda args, sim: (sim,)),
-            ("_product", lambda args, out: map(owner, args)),  # a, b and out
+            ("_product", lambda args, out: map(owner, args)),  # the pool (a and b) and out
         ):
             monkeypatch.setattr(aligner, name, wrapped(name, getattr(aligner, name), track))
         result, _ = run_iterate(tiny_benchmark, iterations=iterations)
         names = [name for name, _, _ in alive_at]
         assert names.count("train_on_union") == iterations and names[-1] == "_scored_similarity"
-        assert alive_at[-1][1] >= 5  # a pseudo call's read-ahead, scores, a, b and out
+        assert alive_at[-1][1] >= 5  # a pseudo call's read-ahead, pool, scores and out
         assert all(not alive for _, _, alive in alive_at)
         assert any(r() is result.similarity for r in earlier)  # the final scores stay
 

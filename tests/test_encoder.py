@@ -386,3 +386,32 @@ class TestForward:
         others = np.setdiff1d(np.arange(15), rows)
         assert not out[others, -6:].any()
 
+    # a scoring pool's rows: sources of G1 (ids < 7), then targets of G2
+    # offset by |E1| = 7, each side ascending, as `aligner` asks for them
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("concat", [False, True])
+    def test_forward_at_rows_is_the_full_pass_at_those_rows(self, layers, dropout, fusion, concat):
+        rng = np.random.default_rng(40 + layers)
+        kg = random_kg(rng)
+        cfg = EncoderConfig(dim=3, layers=layers, init_seed=layers,
+                            ablate_relation_fusion=fusion, ablate_global_concat=concat)
+        st = init_embeddings(cfg, 15, 4)
+        mask = make_dropout_mask(rng, (15, 6), 0.4) if dropout else None
+        rows = np.concatenate([[0, 2, 3, 6], 7 + np.array([1, 4, 5, 7])])
+        full = forward(st, kg, cfg, mask)
+        pool = forward(st, kg, cfg, mask, rows=rows)
+        assert pool.flags.c_contiguous and pool.shape == (8, full.shape[1])
+        assert np.array_equal(pool, full[rows])
+        # any order, repeats included
+        shuffled = np.array([14, 0, 9, 9, 3])
+        assert np.array_equal(forward(st, kg, cfg, mask, rows=shuffled), full[shuffled])
+
+    @pytest.mark.parametrize("rows", [[-1], [15], [0, 15]])
+    def test_forward_rejects_a_row_outside_the_graph(self, rows):
+        kg = random_kg(np.random.default_rng(0))
+        cfg = EncoderConfig(dim=3)
+        with pytest.raises(IndexError):
+            forward(init_embeddings(cfg, 15, 4), kg, cfg, rows=np.array(rows))
+
