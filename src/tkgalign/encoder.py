@@ -9,7 +9,6 @@ concatenates all layers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -145,63 +144,95 @@ def make_dropout_mask(
     return DropoutMask(keep, 1.0 / (1.0 - rate))
 
 
-def _rows_only(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """`op` with every row outside `rows` (sorted, distinct ids) emptied. A
-    kept row has the same entries in the same order, so a product computes
-    the same sums at `rows` and 0 elsewhere. The result keeps all the rows,
-    so the product has the same size in every call and the heap does not
-    fragment over a training run."""
-    kept = op[rows]
-    indptr = np.zeros(op.shape[0] + 1, dtype=kept.indptr.dtype)
-    indptr[rows + 1] = np.diff(kept.indptr)
-    np.cumsum(indptr, out=indptr)
-    return sp.csr_matrix((kept.data, kept.indices, indptr), shape=op.shape)
+# bytes per row block of a sparse product written into a given array: each
+# block's product is a new array of at most this size, copied into place
+_PRODUCT_BLOCK_BYTES = 1 << 21
 
 
-def _layer_halves(
+def product_into(op: sp.csr_matrix, x: np.ndarray, out: np.ndarray, *, add: bool = False
+                 ) -> np.ndarray:
+    """op @ x written into `out` (added to it under `add`), a row block at a
+    time: scipy's product takes no output array. A block is the product of
+    the CSR matrix of the block's rows, so each row adds the same terms in
+    the same order as in op @ x. `x` should be C-contiguous, or scipy copies
+    it for every block."""
+    rows = op.shape[0]
+    block = max(1, _PRODUCT_BLOCK_BYTES // (8 * x.shape[1]))
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        part = op
+        if stop - start < rows:
+            lo, hi = op.indptr[start], op.indptr[stop]
+            indptr = op.indptr[start : stop + 1] - lo
+            part = sp.csr_matrix((op.data[lo:hi], op.indices[lo:hi], indptr),
+                                 shape=(stop - start, op.shape[1]))
+        if add:
+            out[start:stop] += part @ x
+        else:
+            out[start:stop] = part @ x
+    return out
+
+
+def _write_layers(
     state: EmbeddingState,
     kg: TemporalKG,
     config: EncoderConfig,
     dropout_mask: DropoutMask | None,
+    out: np.ndarray,
     rows: np.ndarray | None,
-    compact: bool,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(layer, first column, output) of each d-wide half of every layer, in
-    the order they are computed. The fused layer is (optionally) masked;
-    each deeper one is the rectified mean over the previous layer. With
-    `rows` the last layer is computed at those entities only: as their rows
-    alone, in the order of `rows`, under `compact`, or else at full height
-    and 0 elsewhere (`rows` sorted and distinct). A row computed either way
-    holds the same sums as the full product's."""
-    d = state.dim
-    last = config.layers - 1
-
-    # the operator of a layer, at `rows` only in the last one; built for each
-    # product and dropped with it, since one kept live across the |E| x d
-    # products fragments the heap (about 3 MiB more RSS at 16000 entities)
-    def at(op: sp.csr_matrix, layer: int) -> sp.csr_matrix:
-        if rows is None or layer < last:
-            return op
-        return op[rows] if compact else _rows_only(op, rows)
-
+    skip: int = 0,
+    workspace: np.ndarray | None = None,
+) -> None:
+    """Write the layers into `out`, the d-wide half of layer l that starts at
+    column c of the global embedding into column c - skip; the halves before
+    `skip` are computed but not written. The fused layer is (optionally)
+    masked; each deeper one is the rectified mean over the previous layer.
+    With `rows` each layer is written at those entities only, in the order
+    of `rows`, and the last layer is computed there only, from the
+    operator's rows, straight into `out`; each row holds the same sums as
+    the full product's. With `workspace` (two |E| x d float64 arrays) the
+    other products are written into its arrays in turn; without, each is a
+    new array."""
+    d, last = state.dim, config.layers - 1
+    block = block_rows(d)
     # Aggregation is column-wise, so each d-wide half of a layer comes from
     # the same half of the previous layer. Each half is one chain of
-    # products, each fed the contiguous array the previous one returned, so
-    # at most two |E| x d arrays are live.
+    # products, each fed the contiguous array the previous one wrote and
+    # dropping it, so at most two |E| x d arrays are live.
     for half in (0, d):
-        if half and not config.ablate_relation_fusion:
-            h = at(kg.relation_operator, 0) @ state.relation_table
-        else:
-            h = at(kg.mean_operator, 0) @ state.entity_table
-        if dropout_mask is not None:
-            keep = dropout_mask.keep[:, half : half + d]
-            h *= keep[rows] if compact and last == 0 else keep
-            h *= dropout_mask.scale
-        yield 0, half, h
-        for l in range(1, config.layers):
-            h = at(kg.mean_operator, l) @ h
-            np.maximum(h, 0.0, out=h)
-            yield l, 2 * d * l + half, h
+        for l in range(config.layers):
+            col = 2 * d * l + half - skip
+            if l:
+                op, x = kg.mean_operator, h
+            elif half and not config.ablate_relation_fusion:
+                op, x = kg.relation_operator, state.relation_table
+            else:
+                op, x = kg.mean_operator, state.entity_table
+            if rows is not None and l == last:
+                # the operator's rows, built for each product and dropped
+                # with it: kept live across the |E| x d products, it
+                # fragments the heap (about 3 MiB more RSS at 16000 entities)
+                h = product_into(op[rows], x, out[:, col : col + d])
+            elif workspace is not None:
+                h = product_into(op, x, workspace[l % 2])
+            else:
+                h = op @ x
+            del x
+            if l == 0 and dropout_mask is not None:
+                keep = dropout_mask.keep[:, half : half + d]
+                h *= keep[rows] if rows is not None and last == 0 else keep
+                h *= dropout_mask.scale
+            elif l:
+                np.maximum(h, 0.0, out=h)
+            if col < 0 or (rows is not None and l == last):
+                continue
+            if rows is None:
+                out[:, col : col + d] = h
+                continue
+            # gathered a row block at a time: no temporary of len(rows) x d
+            for start in range(0, len(rows), block):
+                ids = rows[start : start + block]
+                out[start : start + len(ids), col : col + d] = h[ids]
 
 
 def forward_layers(
@@ -212,17 +243,23 @@ def forward_layers(
     *,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All layer outputs side by side in one entity_count x 2*d*layers array
-    (`out` when given): layer l fills columns [2*d*l, 2*d*(l+1)), starting
-    with the (optionally dropout-masked) fused layer; the mask applies to the
-    fused features only. With `rows` (sorted entity ids) the last layer is
-    computed at those entities only and is 0 elsewhere."""
-    d = state.dim
-    out = np.empty((kg.entity_count, 2 * d * config.layers)) if out is None else out
-    # each output is copied once into its columns
-    for _, col, h in _layer_halves(state, kg, config, dropout_mask, rows, compact=False):
-        out[:, col : col + d] = h
+    """All layer outputs side by side in one array (`out` when given): layer
+    l fills columns [2*d*l, 2*d*(l+1)), starting with the (optionally
+    dropout-masked) fused layer; the mask applies to the fused features
+    only. Without `rows`, one row per entity. With `rows` (entity ids), the
+    rows of those entities only, in the order of `rows`, in the first
+    len(rows) rows of `out`; no other row of `out` is written. The layers
+    before the last are still computed at every entity, since the next one
+    reads them there, and the last at `rows` only. With `workspace` (a
+    C-contiguous (2, |E|, d) float64 array) every product is written into
+    it or into `out`, and no entity-sized array is allocated."""
+    if out is None:
+        n = kg.entity_count if rows is None else len(rows)
+        out = np.empty((n, 2 * state.dim * config.layers))
+    _write_layers(state, kg, config, dropout_mask, out[: len(rows)] if rows is not None else out,
+                  rows, workspace=workspace)
     return out
 
 
@@ -251,7 +288,5 @@ def forward(
     d, last = state.dim, config.layers - 1
     skip = 2 * d * last if config.ablate_global_concat else 0  # columns left out
     out = np.empty((len(rows), 2 * d * config.layers - skip))
-    for l, col, h in _layer_halves(state, kg, config, dropout_mask, rows, compact=True):
-        if col >= skip:
-            out[:, col - skip : col - skip + d] = h if l == last else h[rows]
+    _write_layers(state, kg, config, dropout_mask, out, rows, skip)
     return out

@@ -22,6 +22,7 @@ from .encoder import (
     check_field_types,
     forward_layers,
     make_dropout_mask,
+    product_into,
 )
 from .kg import AlignmentPairSet, TemporalKG, check_pair_ids
 
@@ -121,6 +122,7 @@ def compute_gradients(
     dropout_mask: DropoutMask | None = None,
     *,
     layers_out: np.ndarray | None = None,
+    workspace: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact batch loss and its gradient with respect to both tables.
 
@@ -128,25 +130,40 @@ def compute_gradients(
     L1 distance (per-coordinate sign; 0 at exact ties), concatenation (slice
     routing), rectifier (gate on forward positivity), neighborhood means
     (transpose of the sparse mean operators), and the dropout scaling.
-    `layers_out` is `forward_layers`' output buffer, for reuse across epochs.
-    The backward pass runs over the rows that carry gradient only, and the
-    last layer is computed at the batch's entities only.
+    `layers_out` (a C-contiguous |E| x 2*d*layers float64 array) is the
+    layer buffer and `workspace` (a C-contiguous (2, |E|, d) float64 array)
+    the epoch workspace; both are reused across epochs, and the entity
+    gradient is returned in the workspace. The layers are kept only at the
+    rows the backward pass reads, in the first rows of the buffer; its
+    other rows are not written. The backward pass runs over the rows that
+    carry gradient only.
     """
     # score each distinct positive pair once (`inv` maps triplets to it),
     # then every negative; pair k's difference is e(src_k) - e(tgt_k)
-    n = union_kg.entity_count
+    n, d = union_kg.entity_count, state.dim
     for pairs in ((batch.pos_src, batch.pos_tgt), (batch.neg_src, batch.neg_tgt)):
         check_pair_ids(*pairs, n, n, "batch")
+    workspace = _buffer("workspace", workspace, (2, n, d))
+    layers_out = _buffer("layers_out", layers_out, (n, 2 * d * enc_config.layers))
     keys, inv = np.unique(batch.pos_src * n + batch.pos_tgt, return_inverse=True)
     src = np.concatenate([keys // n, batch.neg_src])
     tgt = np.concatenate([keys % n, batch.neg_tgt])
     m = len(src)
-    layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out,
-                            rows=_marked(n, src, tgt))
+
+    # R, the rows the backward pass reads: the hinge reads the batch's
+    # entities, and the gate of layer l >= 1 sits at most layers - 2 hops
+    # from them (the mean's neighbor sets hold the entity itself)
+    mean = union_kg.mean_operator
+    rows = _marked(n, src, tgt)
+    for _ in range(enc_config.layers - 2):
+        rows = _marked(n, mean[rows].indices)
+    layers = forward_layers(state, union_kg, enc_config, dropout_mask, out=layers_out, rows=rows,
+                            workspace=workspace)
     # the global embedding g is the last `width` columns of the layers
-    d = state.dim
     width = 2 * d if enc_config.ablate_global_concat else layers.shape[1]
     g_start = layers.shape[1] - width
+    at = _positions(n, rows)  # the rows of the buffer
+    at_src, at_tgt = at[src], at[tgt]
 
     # distances in row blocks through two small scratch arrays; no view of
     # them outlives a loop
@@ -155,7 +172,7 @@ def compute_gradients(
     dist = np.empty(m)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        np.abs(_pair_diff(layers, g_start, width, src[start:stop], tgt[start:stop], scratch),
+        np.abs(_pair_diff(layers, g_start, width, at_src[start:stop], at_tgt[start:stop], scratch),
                out=scratch[1, : stop - start]).sum(axis=1, out=dist[start:stop])
     slack = dist[inv] - dist[len(keys) :] + train_config.margin
     active = slack > 0
@@ -170,66 +187,93 @@ def compute_gradients(
     # distance leaves its hinges inactive, so the cast is exact.
     weight = np.concatenate([np.bincount(inv[active], minlength=len(keys)), -1 * active])
     live = np.flatnonzero(weight)
-    src, tgt = src[live], tgt[live]
+    at_src, at_tgt = at_src[live], at_tgt[live]
     k = len(live)
     signs = np.empty((width // d, m, d), dtype=np.int8)
     for start in range(0, k, block):
         stop = min(start + block, k)
-        diff = _pair_diff(layers, g_start, width, src[start:stop], tgt[start:stop], scratch)
+        diff = _pair_diff(layers, g_start, width, at_src[start:stop], at_tgt[start:stop], scratch)
         np.sign(diff.reshape(stop - start, -1, d).swapaxes(0, 1), out=signs[:, start:stop],
                 casting="unsafe")
         del diff
     del scratch
 
-    # the gradient of column block b is C @ signs[b] with the signed
-    # incidence C = pair_diff^T W over the live pairs; it is 0 outside their
-    # endpoints, the hot rows. All terms are small integers, so the sums are
-    # exact in any order.
+    # The gradient of column block b is C @ signs[b] with the signed
+    # incidence C = pair_diff^T W over the live pairs, the transpose of
+    # `pair_rows`; it is 0 outside their endpoints, the hot rows. All terms
+    # are small integers, so the sums are exact in any order.
+    src, tgt = src[live], tgt[live]
     signed = np.repeat(weight[live].astype(np.float64), 2)
     signed[1::2] *= -1.0
-    incidence = sp.csr_matrix(
+    pair_rows = sp.csr_matrix(
         (signed, np.column_stack([src, tgt]).ravel(), np.arange(0, 2 * k + 1, 2)), shape=(k, n)
-    ).T
+    )
     del signed, live
-
-    # each block's signs are widened once, into one float64 buffer, so the
-    # product reads no int8 operand (scipy would convert it in a fresh copy)
-    widened = np.empty((m, d))
-
-    def scattered(b: int) -> np.ndarray:
-        np.copyto(widened[:k], signs[b, :k])
-        return incidence @ widened[:k]
 
     # Backward, last layer first, over the rows that carry gradient. Layer
     # l's gradient is 0 outside its row set, which starts at the hot rows:
     # it is gated by the layer's forward positivity there and carried
     # through the transposed mean of those rows, M[rows].T, which reaches
     # one hop further, into layer l-1's row set. With the global concat,
-    # layer l-1's scattered block is added to the carried term.
+    # layer l-1's hinge block is added to the carried term.
     # The full transpose M.T in CSR form has sorted indices, so its row i
     # adds M[j, i] x[j] over ascending j; M[rows].T over ascending rows adds
     # the same terms in the same order and drops only those of x[j] = +-0,
-    # which never change a sum that starts at +0.
-    mean = union_kg.mean_operator
+    # which never change a sum that starts at +0. Each carry keeps the rows
+    # it reaches only, so its product lands compacted.
     row_sets = [_marked(n, src, tgt)]
     carries = []
     for _ in range(enc_config.layers - 1):
-        carries.append(mean[row_sets[-1]].T)
-        row_sets.append(_marked(n, carries[-1].indices))
-    rows = row_sets[-1]
+        carry = mean[row_sets[-1]]
+        row_sets.append(_marked(n, carry.indices))
+        carries.append(_transposed_on(carry, row_sets[-1]))
+    rows_last = row_sets[-1]
 
-    args = (layers, scattered, row_sets, carries, dropout_mask, enc_config)
-    d_rel_half = _half_gradient(d, *args)
+    # the hinge products of the column blocks, on the hot rows and, with the
+    # global concat, on each deeper row set too, which holds them; each
+    # block's signs are widened once, into one float64 buffer, so the
+    # product reads no int8 operand (scipy would convert it in a fresh copy)
+    widened = np.empty((m, d))
+    incidences = [_transposed_on(pair_rows, r)
+                  for r in row_sets[: 1 if enc_config.ablate_global_concat else None]]
+
+    def scatter(b: int, step: int, out: np.ndarray, add: bool = False) -> None:
+        np.copyto(widened[:k], signs[b, :k])
+        product_into(incidences[step], widened[:k], out[: incidences[step].shape[0]], add=add)
+
+    gates = [at[r] for r in row_sets[:-1]]  # their rows in the buffer
+    args = (layers, scatter, gates, carries, rows_last, dropout_mask, enc_config, workspace)
+    d_rel_half, _ = _half_gradient(d, *args)
     if enc_config.ablate_relation_fusion:
         grad_rel = np.zeros_like(state.relation_table)
+        d_rel_half = d_rel_half.copy()  # the next call reuses the workspace
     else:
-        grad_rel = union_kg.relation_operator[rows].T @ d_rel_half
+        grad_rel = union_kg.relation_operator[rows_last].T @ d_rel_half
         d_rel_half = None
-    d_ent_half = _half_gradient(0, *args)
+    d_ent_half, free = _half_gradient(0, *args)
     if d_rel_half is not None:
         d_ent_half += d_rel_half
-    grad_ent = mean[rows].T @ d_ent_half
+    grad_ent = product_into(mean[rows_last].T.tocsr(), d_ent_half, free)
     return loss, grad_ent, grad_rel
+
+
+def _buffer(name: str, a: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """`a`, or a new float64 array of `shape` when it is None. Raises
+    ValueError unless `a` is a C-contiguous float64 array of `shape`."""
+    if a is None:
+        return np.empty(shape)
+    if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {a.dtype} of shape {a.shape}")
+    return a
+
+
+def _transposed_on(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """op.T as a CSR matrix of the rows `rows` only (ascending ids that
+    hold every column op uses): its row i is op's column rows[i], with the
+    entries in ascending order of op's rows, as in op.T.tocsr()."""
+    at = _positions(op.shape[1], rows)[op.indices]
+    return sp.csr_matrix((op.data, at, op.indptr), shape=(op.shape[0], len(rows))).T.tocsr()
 
 
 def _take_columns(
@@ -262,45 +306,52 @@ def _pair_diff(
 def _half_gradient(
     half: int,
     layers: np.ndarray,
-    scattered: Callable[[int], np.ndarray],
-    row_sets: list[np.ndarray],
-    carries: list[sp.csc_matrix],
+    scatter: Callable[..., None],
+    gates: list[np.ndarray],
+    carries: list[sp.csr_matrix],
+    rows_last: np.ndarray,
     dropout_mask: DropoutMask | None,
     enc_config: EncoderConfig,
-) -> np.ndarray:
+    workspace: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """The fused layer's gradient in the d columns from `half` of each layer,
-    at `row_sets[-1]`; `scattered(b)` is the hinge gradient of column block
-    b of the global embedding. It runs compacted to the front of one
-    entity-sized buffer, and a carried product, once compacted, is the spare
-    buffer of the next gate. The dropout mask's keep bits are gathered into
-    an entity-sized bool buffer. Every buffer has the same size in every
-    epoch, so each epoch reuses the heap chunks of the last one instead of
-    fragmenting the heap."""
-    n, d = layers.shape[0], enc_config.dim
+    at `rows_last`, and the workspace array it leaves free. `scatter(b,
+    step, out, add)` writes (or adds) the hinge gradient of column block b
+    of the global embedding at the rows of backward step `step` into `out`.
+    The gradient runs compacted to the front of one workspace array; the
+    gate of each step is gathered from the layer buffer's rows `gates[step]`
+    into the other, and the carried product lands there, so the two swap.
+    The dropout mask's keep bits are gathered into the free array's memory,
+    viewed as bool."""
+    d = enc_config.dim
     w = 2 * d
-    x = np.empty((n, d))
-    spare = np.empty((n, d))
-    hot = row_sets[0]
+    x, spare = workspace
     last = enc_config.layers - 1
     block = half // d + (0 if enc_config.ablate_global_concat else 2 * last)
-    np.take(scattered(block), hot, axis=0, out=x[: len(hot)], mode="clip")
-    for step, carry_t in enumerate(carries):
+    scatter(block, 0, x)
+    for step, carry in enumerate(carries):
         l = last - step
-        at, reach = row_sets[step], row_sets[step + 1]
-        gate = _take_columns(layers, at, l * w + half, d, spare[: len(at)])
-        x[: len(at)] *= np.greater(gate, 0.0, out=gate)
-        del gate, spare
-        spare = carry_t @ x[: len(at)]
+        size = len(gates[step])
+        gate = _take_columns(layers, gates[step], l * w + half, d, spare[:size])
+        x[:size] *= np.greater(gate, 0.0, out=gate)
+        product_into(carry, x[:size], spare[: carry.shape[0]])
         if not enc_config.ablate_global_concat:
-            spare += scattered(block - 2 * (step + 1))
-        np.take(spare, reach, axis=0, out=x[: len(reach)], mode="clip")
-    x = x[: len(row_sets[-1])]
-    del spare
+            scatter(block - 2 * (step + 1), step + 1, spare, add=True)
+        x, spare = spare, x
+    x = x[: len(rows_last)]
     if dropout_mask is not None:
-        keep = np.empty((n, d), dtype=bool)[: len(x)]
-        x *= _take_columns(dropout_mask.keep, row_sets[-1], half, d, keep)
+        keep = spare.reshape(-1).view(np.bool_)[: x.size].reshape(x.shape)
+        x *= _take_columns(dropout_mask.keep, rows_last, half, d, keep)
         x *= dropout_mask.scale
-    return x
+    return x, spare
+
+
+def _positions(n: int, rows: np.ndarray) -> np.ndarray:
+    """An n-long map from each id in `rows` to its position there; the
+    entries of other ids are undefined."""
+    at = np.empty(n, dtype=np.int64)
+    at[rows] = np.arange(len(rows))
+    return at
 
 
 def _marked(n: int, *ids: np.ndarray) -> np.ndarray:
@@ -360,9 +411,11 @@ def train_on_union(
         rng = np.random.default_rng(train_config.rng_seed)
     opt = OptimizerState.zeros_like(state)
     losses: list[float] = []
-    # one layer buffer and one keep-bit buffer serve every epoch
+    # one layer buffer, one epoch workspace and one keep-bit buffer serve
+    # every epoch; an epoch's entity gradient is written into the workspace
     n = union_kg.entity_count
     layers = np.empty((n, 2 * state.dim * enc_config.layers))
+    workspace = np.empty((2, n, state.dim))
     keep = np.empty((n, 2 * state.dim), dtype=bool) if train_config.dropout_rate > 0 else None
     mask = None
     for _ in range(train_config.epochs):
@@ -371,10 +424,13 @@ def train_on_union(
         negs = sample_negatives(seeds, kg_sizes, train_config.negatives_per_pair, rng)
         batch = TripletBatch.build(seeds, negs, entity_offset=kg_sizes[0])
         loss, g_ent, g_rel = compute_gradients(
-            state, union_kg, batch, enc_config, train_config, mask, layers_out=layers
+            state, union_kg, batch, enc_config, train_config, mask, layers_out=layers,
+            workspace=workspace
         )
         optimizer_step(state, opt, g_ent, g_rel, train_config)
-        # consumed: the next epoch's gradients are not computed beside them
+        # the relation gradient is a new array every epoch; kept alive through
+        # the next epoch's allocations, it can pin the heap top, and the heap
+        # is then not given back when training ends
         del g_ent, g_rel
         losses.append(loss)
     return losses

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from tkgalign import encoder
 from tkgalign.encoder import (
     EmbeddingState,
     EncoderConfig,
@@ -8,6 +10,7 @@ from tkgalign.encoder import (
     forward_layers,
     init_embeddings,
     make_dropout_mask,
+    product_into,
 )
 from tkgalign.kg import TemporalKG
 
@@ -366,11 +369,13 @@ class TestForward:
         assert np.array_equal(out, np.hstack(expected))
         assert np.array_equal(forward(st, kg, cfg, mask), global_embedding(expected, concat))
 
-    # every combination of 1-3 layers, dropout and the two ablations
+    # every combination of 1-3 layers, dropout and the two ablations, with
+    # the products written into a workspace or into new arrays
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True)])
-    def test_last_layer_at_rows_only(self, layers, dropout, fusion, concat):
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_layers_at_rows_fill_the_first_rows(self, layers, dropout, fusion, concat, workspace):
         rng = np.random.default_rng(30 + layers)
         kg = random_kg(rng)
         cfg = EncoderConfig(dim=3, layers=layers, init_seed=layers,
@@ -378,13 +383,14 @@ class TestForward:
         st = init_embeddings(cfg, 15, 4)
         mask = make_dropout_mask(rng, (15, 6), 0.4) if dropout else None
         rows = np.array([0, 3, 4, 9, 14])
-        full = forward_layers(st, kg, cfg, mask)
-        out = np.full((15, 6 * layers), np.nan)
-        assert forward_layers(st, kg, cfg, mask, out=out, rows=rows) is out
-        assert np.array_equal(out[:, :-6], full[:, :-6])
-        assert np.array_equal(out[rows, -6:], full[rows, -6:])
-        others = np.setdiff1d(np.arange(15), rows)
-        assert not out[others, -6:].any()
+        full = np.hstack(list_forward_layers(st, kg, cfg, mask))
+        out = np.full((15, 6 * layers), np.nan)  # rows past len(rows) must stay unwritten
+        ws = np.full((2, 15, 3), np.nan) if workspace else None
+        assert forward_layers(st, kg, cfg, mask, out=out, rows=rows, workspace=ws) is out
+        assert np.array_equal(out[: len(rows)], full[rows])
+        assert np.isnan(out[len(rows) :]).all()
+        # a new array has the rows only
+        assert np.array_equal(forward_layers(st, kg, cfg, mask, rows=rows), full[rows])
 
     # a scoring pool's rows: sources of G1 (ids < 7), then targets of G2
     # offset by |E1| = 7, each side ascending, as `aligner` asks for them
@@ -414,4 +420,25 @@ class TestForward:
         cfg = EncoderConfig(dim=3)
         with pytest.raises(IndexError):
             forward(init_embeddings(cfg, 15, 4), kg, cfg, rows=np.array(rows))
+
+
+class TestProductInto:
+    # rows per product block: 1, 3 (a short last block), all 20, the default
+    @pytest.mark.parametrize("block", [1, 3, 20, None])
+    @pytest.mark.parametrize("add", [False, True])
+    def test_equals_the_sparse_product(self, block, add, monkeypatch):
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(20, 15)) * (rng.random((20, 15)) < 0.3)
+        dense[5:7] = 0.0  # two empty rows
+        op = sp.csr_matrix(dense)
+        x = rng.normal(size=(15, 4))
+        if block is not None:
+            monkeypatch.setattr(encoder, "_PRODUCT_BLOCK_BYTES", block * 4 * 8)
+        base = rng.normal(size=(20, 12))
+        out = base.copy()
+        # into a column slice of a wider array: its other columns stay
+        product_into(op, x, out[:, 4:8], add=add)
+        expected = base.copy()
+        expected[:, 4:8] = base[:, 4:8] + op @ x if add else op @ x
+        assert np.array_equal(out, expected)
 

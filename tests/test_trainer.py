@@ -16,7 +16,7 @@ from tkgalign.encoder import (
     init_embeddings,
     make_dropout_mask,
 )
-from tkgalign import encoder
+from tkgalign import encoder, trainer
 from tkgalign.kg import AlignmentPairSet, TemporalKG, union_graph
 from tkgalign.trainer import (
     OptimizerState,
@@ -28,7 +28,7 @@ from tkgalign.trainer import (
     train_on_union,
 )
 
-from test_encoder import global_embedding, list_forward_layers
+from test_encoder import global_embedding, list_forward_layers, naive_structure
 
 
 def P(t):
@@ -243,6 +243,40 @@ def finite_difference(state, ukg, batch, enc, trn, mask, table, h=1e-4):
         table[idx] = orig
         fd[idx] = (lp - lm) / (2 * h)
     return fd
+
+
+def pool_instance(pool, layers, dropout, fusion, concat, seed=3):
+    """A random graph pair of equal sides, its seed pairs and one epoch's
+    triplet batch, whose pairs mark every entity (pool "every") or under a
+    tenth of them (pool "tenth"): (state, union, sizes, seeds, batch, enc,
+    trn, mask)."""
+    n = 12 if pool == "every" else 200
+    ukg = random_union(n, seed)
+    enc = EncoderConfig(dim=3, layers=layers, init_seed=seed, ablate_relation_fusion=fusion,
+                        ablate_global_concat=concat)
+    trn = TrainConfig(margin=1.0, epochs=3, dropout_rate=0.3 if dropout else 0.0, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    count = n if pool == "every" else 4
+    targets = rng.permutation(n)[:count].tolist()
+    seeds = AlignmentPairSet.from_pairs(list(zip(range(count), targets)))
+    negatives = sample_negatives(seeds, (n, n), trn.negatives_per_pair, rng)
+    batch = TripletBatch.build(seeds, negatives, n)
+    marked = np.unique(np.concatenate([batch.pos_src, batch.pos_tgt, batch.neg_src, batch.neg_tgt]))
+    assert len(marked) == 2 * n if pool == "every" else len(marked) < 2 * n / 10
+    mask = make_dropout_mask(rng, (2 * n, 6), trn.dropout_rate) if dropout else None
+    return init_embeddings(enc, 2 * n, 16), ukg, (n, n), seeds, batch, enc, trn, mask
+
+
+def read_rows(ukg, batch, layers):
+    """The rows of the layers that an epoch's backward pass reads, ascending:
+    the batch's entities, then their neighbors (self included) once per
+    layer beyond 2."""
+    neighbors, _ = naive_structure(ukg)
+    ids = np.concatenate([batch.pos_src, batch.pos_tgt, batch.neg_src, batch.neg_tgt])
+    rows = set(ids.tolist())
+    for _ in range(layers - 2):
+        rows = set().union(*(neighbors[r] for r in rows))
+    return np.array(sorted(rows))
 
 
 class TestManhattan:
@@ -501,6 +535,61 @@ class TestGradients:
             assert np.array_equal(ge, ref_ge)
             assert np.array_equal(gr, ref_gr)
             oracle_optimizer_step(state, opt, ref_ge, ref_gr, trn)  # the next pass sees new tables
+
+    # a batch that marks every entity and one that marks under a tenth, 1-3
+    # layers, dropout on and off, each ablation and both
+    @pytest.mark.parametrize("pool", ["every", "tenth"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True),
+                                               (True, True)])
+    def test_pool_gradients_equal_list_oracle(self, pool, layers, dropout, fusion, concat):
+        state, ukg, _, _, batch, enc, trn, mask = pool_instance(pool, layers, dropout, fusion,
+                                                                concat)
+        n = ukg.entity_count
+        # NaN-filled, so a value the pass does not write shows in the result
+        layers_out = np.full((n, 2 * enc.dim * layers), np.nan)
+        workspace = np.full((2, n, enc.dim), np.nan)
+        loss, ge, gr = compute_gradients(state, ukg, batch, enc, trn, mask, layers_out=layers_out,
+                                         workspace=workspace)
+        ref_loss, ref_ge, ref_gr = list_oracle_gradients(state, ukg, batch, enc, trn, mask)
+        assert loss == ref_loss and loss > 0
+        assert np.array_equal(ge, ref_ge)
+        assert np.array_equal(gr, ref_gr)
+        # the buffer holds the layers at the rows the backward pass reads, in
+        # its first rows, and no other row is written
+        rows = read_rows(ukg, batch, layers)
+        assert np.array_equal(layers_out[: len(rows)],
+                              np.hstack(list_forward_layers(state, ukg, enc, mask))[rows])
+        assert np.isnan(layers_out[len(rows) :]).all()
+        assert (len(rows) < n) == (pool == "tenth")
+
+    @pytest.mark.parametrize("name,shape,dtype", [
+        ("layers_out", (0, 2), np.float64),  # 2*d columns more than 2*d*layers
+        ("layers_out", (0, 3), np.float64),  # a few columns more
+        ("layers_out", (0, 0), np.float32),
+        ("layers_out", (-1, 0), np.float64),  # a row short
+        ("workspace", (0, 0, 0), np.float32),
+        ("workspace", (0, 0, 1), np.float64),
+        ("workspace", (-1, 0, 0), np.float64),
+    ])
+    def test_a_buffer_of_another_shape_or_dtype_is_rejected(self, name, shape, dtype):
+        state, ukg, batch, enc, trn, mask = random_instance(1, layers=2, dropout=True)
+        n, d = ukg.entity_count, enc.dim
+        want = {"layers_out": (n, 2 * d * enc.layers), "workspace": (2, n, d)}[name]
+        if name == "layers_out" and shape[1] == 2:
+            shape = (0, 2 * d)
+        got = tuple(w + s for w, s in zip(want, shape))
+        with pytest.raises(ValueError, match=rf"^{name} must be a C-contiguous float64 array of "
+                                             rf"shape \({want[0]}, {want[1]}"):
+            compute_gradients(state, ukg, batch, enc, trn, mask, **{name: np.zeros(got, dtype)})
+
+    def test_a_strided_layer_buffer_is_rejected(self):
+        state, ukg, batch, enc, trn, mask = random_instance(1, layers=2, dropout=True)
+        wide = np.zeros((ukg.entity_count, 2 * 2 * enc.dim * enc.layers))
+        with pytest.raises(ValueError, match="^layers_out must be a C-contiguous"):
+            compute_gradients(state, ukg, batch, enc, trn, mask,
+                              layers_out=wide[:, : 2 * enc.dim * enc.layers])
 
     # np.take copies a source that is not C-contiguous whole before it
     # gathers; every gather of an epoch must read its array in place
@@ -821,6 +910,59 @@ class TestTrain:
                 tracemalloc.stop()
         gradient = 2 * n * enc.dim * 8
         assert peaks[1] - peaks[0] < gradient / 2, peaks
+
+    # a seed pool that marks every entity in every epoch and one that marks
+    # under a tenth, 1-3 layers, dropout on and off, each ablation and both
+    @pytest.mark.parametrize("pool", ["every", "tenth"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("fusion,concat", [(False, False), (True, False), (False, True),
+                                               (True, True)])
+    def test_pool_epochs_equal_oracle_epoch_loop(self, pool, layers, dropout, fusion, concat):
+        state, ukg, sizes, seeds, _, enc, trn, _ = pool_instance(pool, layers, dropout, fusion,
+                                                                 concat)
+        ref = state.copy()
+        losses = train_on_union(state, ukg, sizes, seeds, enc, trn)
+        assert losses == oracle_epochs(ref, ukg, sizes, seeds, enc, trn)
+        assert np.array_equal(state.entity_table, ref.entity_table)
+        assert np.array_equal(state.relation_table, ref.relation_table)
+
+    def test_later_epochs_allocate_no_entity_sized_array(self, monkeypatch):
+        # every |E|-sized result of an epoch goes into the workspace and the
+        # layer buffer that the first epoch's call allocated; a product's
+        # row block (2 MiB) is below |E| x d x 8 bytes here (6 MiB)
+        n = 12000
+        ukg = random_union(n, seed=0)
+        ukg.mean_operator, ukg.relation_operator  # cached by the first epoch otherwise
+        enc = EncoderConfig(dim=32, layers=2, init_seed=0)
+        seeds = AlignmentPairSet.from_pairs([(i, i) for i in range(300)])
+        entity_sized = 2 * n * enc.dim * 8
+        step, epochs = trainer.optimizer_step, []
+
+        # tracing starts when the first epoch ends, so a traced block was
+        # allocated in a later epoch; each later epoch's gradients are taken
+        # with its traced peak and the live traced blocks of entity size
+        def traced_step(*args):
+            if tracemalloc.is_tracing():
+                big = [t for t in tracemalloc.take_snapshot().traces if t.size >= entity_sized]
+                epochs.append((tracemalloc.get_traced_memory()[1] - start[0], big))
+            step(*args)
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            start[0] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+
+        start = [0]
+        monkeypatch.setattr(trainer, "optimizer_step", traced_step)
+        try:
+            train_on_union(init_embeddings(enc, 2 * n, 16), ukg, (n, n), seeds, enc,
+                           TrainConfig(epochs=4, rng_seed=0))
+        finally:
+            tracemalloc.stop()
+        assert len(epochs) == 3
+        for peak, big in epochs:
+            assert not big
+            assert peak < entity_sized, (peak, entity_sized)
 
     def test_parameter_count(self):
         kg1, kg2 = toy_pair()
